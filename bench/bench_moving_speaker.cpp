@@ -14,7 +14,6 @@
 #include <memory>
 
 #include "audio/gain.h"
-#include "core/preprocess.h"
 #include "ml/metrics.h"
 #include "room/scene.h"
 #include "speech/synthesizer.h"
@@ -155,8 +154,9 @@ int main() {
           speech::synthesize_wake_word(speech::WakeWord::kComputer, voice, 300 + trial);
       audio::set_spl(dry, 70.0);
       const auto capture = render_moving(scene, dry, scenario.path, 900 + trial);
-      const auto clean = core::preprocess(capture);
-      const bool facing = classifier.is_facing(extractor.extract(clean));
+      // extract() band-passes and trims the raw capture itself, exactly as
+      // it did for the training captures.
+      const bool facing = classifier.is_facing(extractor.extract(capture));
       if (facing == scenario.expect_facing) ++correct;
     }
     std::printf("%-46s %6zu/%-3u %8s\n", scenario.name, correct, kTrials,

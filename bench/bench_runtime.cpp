@@ -38,7 +38,8 @@ using namespace headtalk;
 
 namespace {
 
-// One fixed rendered capture shared by all benchmarks.
+// One fixed rendered capture shared by all benchmarks. The extractors
+// band-pass and trim internally, so every stage is fed this raw capture.
 const audio::MultiBuffer& capture() {
   static const audio::MultiBuffer instance = [] {
     sim::CollectorConfig cfg;
@@ -48,11 +49,6 @@ const audio::MultiBuffer& capture() {
     spec.location = {sim::GridRadial::kMiddle, 3.0};
     return collector.capture(spec);
   }();
-  return instance;
-}
-
-const audio::MultiBuffer& denoised() {
-  static const audio::MultiBuffer instance = core::preprocess(capture());
   return instance;
 }
 
@@ -116,7 +112,7 @@ void BM_LivenessDetection(benchmark::State& state) {
   core::LivenessFeatureExtractor extractor;
   auto& detector = trained_liveness();
   for (auto _ : state) {
-    const auto features = extractor.extract(denoised().channel(0));
+    const auto features = extractor.extract(capture().channel(0));
     benchmark::DoNotOptimize(detector.score(features));
   }
 }
@@ -127,23 +123,25 @@ void BM_OrientationDetection(benchmark::State& state) {
   core::OrientationFeatureExtractor extractor;
   auto& classifier = trained_orientation();
   for (auto _ : state) {
-    const auto features = extractor.extract(denoised());
+    const auto features = extractor.extract(capture());
     benchmark::DoNotOptimize(classifier.predict(features));
   }
 }
 BENCHMARK(BM_OrientationDetection)->Unit(benchmark::kMillisecond);
 
 void BM_FullHeadTalkDecision(benchmark::State& state) {
-  // Preprocess + liveness + orientation, as process_wake_word would run.
+  // Liveness + orientation on the raw capture, each extraction
+  // preprocessing its own input once.
   core::LivenessFeatureExtractor liveness_extractor;
   core::OrientationFeatureExtractor orientation_extractor;
   auto& liveness = trained_liveness();
   auto& orientation = trained_orientation();
   for (auto _ : state) {
-    const auto clean = core::preprocess(capture());
-    const double live_score = liveness.score(liveness_extractor.extract(clean.channel(0)));
+    const double live_score =
+        liveness.score(liveness_extractor.extract(capture().channel(0)));
     benchmark::DoNotOptimize(live_score);
-    benchmark::DoNotOptimize(orientation.predict(orientation_extractor.extract(clean)));
+    benchmark::DoNotOptimize(
+        orientation.predict(orientation_extractor.extract(capture())));
   }
 }
 BENCHMARK(BM_FullHeadTalkDecision)->Unit(benchmark::kMillisecond);
@@ -177,13 +175,13 @@ bool run_plan_cache_record() {
   // --- Cold: every call rebuilds its FFT plans and scratch buffers ---
   cache.set_enabled(false);
   cache.clear();
-  const auto orientation_cold = orientation_extractor.extract(denoised());
+  const auto orientation_cold = orientation_extractor.extract(capture());
   const double orientation_cold_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(orientation_extractor.extract(denoised()));
+    benchmark::DoNotOptimize(orientation_extractor.extract(capture()));
   });
-  const auto liveness_cold = liveness_extractor.extract(denoised().channel(0));
+  const auto liveness_cold = liveness_extractor.extract(capture().channel(0));
   const double liveness_cold_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(liveness_extractor.extract(denoised().channel(0)));
+    benchmark::DoNotOptimize(liveness_extractor.extract(capture().channel(0)));
   });
 
   // --- Warm: cached plans + per-thread workspace, one warm-up call ---
@@ -191,13 +189,14 @@ bool run_plan_cache_record() {
   cache.clear();
   const auto stats_before = cache.stats();
   core::ScoringWorkspace workspace;
-  const auto orientation_warm = orientation_extractor.extract(denoised(), &workspace);
+  const auto orientation_warm = orientation_extractor.extract(capture(), &workspace);
   const double orientation_warm_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(orientation_extractor.extract(denoised(), &workspace));
+    benchmark::DoNotOptimize(orientation_extractor.extract(capture(), &workspace));
   });
-  const auto liveness_warm = liveness_extractor.extract(denoised().channel(0), &workspace);
+  const auto liveness_warm = liveness_extractor.extract(capture().channel(0), &workspace);
   const double liveness_warm_ms = time_ms_per_iter(iters, [&] {
-    benchmark::DoNotOptimize(liveness_extractor.extract(denoised().channel(0), &workspace));
+    benchmark::DoNotOptimize(
+        liveness_extractor.extract(capture().channel(0), &workspace));
   });
   const auto stats_after = cache.stats();
 
@@ -254,7 +253,7 @@ bool run_simd_level_record() {
 
   dsp::simd::set_level(dsp::simd::Level::kScalar);
   core::ScoringWorkspace reference_workspace;
-  const auto reference = extractor.extract(denoised(), &reference_workspace);
+  const auto reference = extractor.extract(capture(), &reference_workspace);
   const int reference_verdict = classifier.predict(reference);
 
   bool ok = true;
@@ -264,9 +263,9 @@ bool run_simd_level_record() {
     const auto level = static_cast<dsp::simd::Level>(l);
     dsp::simd::set_level(level);
     core::ScoringWorkspace workspace;
-    const auto features = extractor.extract(denoised(), &workspace);
+    const auto features = extractor.extract(capture(), &workspace);
     const double warm_ms = time_ms_per_iter(iters, [&] {
-      benchmark::DoNotOptimize(extractor.extract(denoised(), &workspace));
+      benchmark::DoNotOptimize(extractor.extract(capture(), &workspace));
     });
     double level_delta = 0.0;
     for (std::size_t k = 0; k < features.size(); ++k) {

@@ -17,7 +17,7 @@
 //      no coordinated omission).
 //
 // The perf record gains concurrent_connections, rps/offered_rps,
-// p50/p95/p99, batch occupancy, rps_1shard/rps_2shard/shard_speedup and
+// p50/p95/p99, rps_1shard/rps_2shard/shard_speedup and
 // merge_connections_delta. Gates: every fired utterance gets exactly one
 // DECISION (no violations, errors, or abandoned requests), the scale
 // phase really held the requested connection count, merged metrics equal
@@ -102,7 +102,7 @@ core::LivenessDetector make_liveness() {
 }
 
 struct Knobs {
-  unsigned clients, rps, utterances, loops, scoring, batch_max, window_us;
+  unsigned clients, rps, utterances, loops, scoring;
   unsigned shard_clients, shard_utterances, frames;
 };
 
@@ -124,9 +124,7 @@ void child_term(int) {
   config.base.request_deadline_ms = 120000;
   config.reuseport = true;
   config.loops = knobs.loops;
-  config.scoring_threads = knobs.scoring;
-  config.batch_max = knobs.batch_max;
-  config.batch_window_us = knobs.window_us;
+  config.base.workers = knobs.scoring;
   serve::EventLoopServer engine(pipeline, config);
   engine.start();
   g_child_engine = &engine;
@@ -264,8 +262,6 @@ int main() {
   knobs.utterances = env_or("HEADTALK_SCALE_BENCH_UTTERANCES", 1200);
   knobs.loops = env_or("HEADTALK_SCALE_BENCH_LOOPS", 2);
   knobs.scoring = env_or("HEADTALK_SCALE_BENCH_SCORING", 2);
-  knobs.batch_max = env_or("HEADTALK_SCALE_BENCH_BATCH_MAX", 16);
-  knobs.window_us = env_or("HEADTALK_SCALE_BENCH_WINDOW_US", 2000);
   knobs.shard_clients = env_or("HEADTALK_SCALE_BENCH_SHARD_CLIENTS", 64);
   knobs.shard_utterances = env_or("HEADTALK_SCALE_BENCH_SHARD_UTTERANCES", 384);
   knobs.frames = env_or("HEADTALK_SCALE_BENCH_FRAMES", 4800);
@@ -359,9 +355,7 @@ int main() {
       ("headtalk_bench_scale_" + std::to_string(::getpid()) + ".sock");
   config.base.request_deadline_ms = 120000;
   config.loops = knobs.loops;
-  config.scoring_threads = knobs.scoring;
-  config.batch_max = knobs.batch_max;
-  config.batch_window_us = knobs.window_us;
+  config.base.workers = knobs.scoring;
   config.max_connections = knobs.clients + 64;
   serve::EventLoopServer server(pipeline, config);
   server.start();
@@ -377,7 +371,6 @@ int main() {
   load.ramp_ms = 1000;
   load.drain_grace_seconds = 60.0;
   const serve::LoadReport report = serve::run_load(load);
-  const serve::ServerStats stats = server.stats();
   server.stop();
 
   ok = report_clean(report, knobs.utterances, "scale") && ok;
@@ -392,11 +385,6 @@ int main() {
   const double p50 = sorted_quantile(latencies, 0.50);
   const double p95 = sorted_quantile(latencies, 0.95);
   const double p99 = sorted_quantile(latencies, 0.99);
-  const double occupancy =
-      stats.batches_scored > 0
-          ? static_cast<double>(stats.decisions) /
-                static_cast<double>(stats.batches_scored)
-          : 0.0;
 
   std::printf("scale   : %zu concurrent conns, %llu decisions open-loop @ %.0f rps offered\n",
               report.peak_open_connections,
@@ -404,8 +392,6 @@ int main() {
               report.offered_rps);
   std::printf("          achieved %.1f rps  p50 %.1f ms  p95 %.1f ms  p99 %.1f ms\n",
               report.achieved_rps, 1000.0 * p50, 1000.0 * p95, 1000.0 * p99);
-  std::printf("          %llu batches, %.1f utterances/batch mean\n",
-              static_cast<unsigned long long>(stats.batches_scored), occupancy);
   bench::print_note(
       "open-loop latency is measured from the scheduled arrival instant, so\n"
       "a server that falls behind shows honest queueing delay (no\n"
@@ -420,8 +406,6 @@ int main() {
   rec.set_metric("p50_seconds", p50);
   rec.set_metric("p95_seconds", p95);
   rec.set_metric("p99_seconds", p99);
-  rec.set_metric("batches", static_cast<double>(stats.batches_scored));
-  rec.set_metric("batch_occupancy_mean", occupancy);
   rec.set_metric("rps_1shard", rps_1shard);
   rec.set_metric("rps_2shard", rps_2shard);
   rec.set_metric("shard_speedup", speedup);

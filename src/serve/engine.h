@@ -22,11 +22,9 @@ struct ServerStats {
   std::uint64_t session_errors = 0;
   std::uint64_t deadline_expirations = 0;
   std::size_t active_connections = 0;
-  /// score_batch dispatches (event-loop engine; 0 under the threaded one).
-  std::uint64_t batches_scored = 0;
-  /// Utterances submitted to the batch scheduler and not yet scored
-  /// (event-loop engine; always 0 under the threaded one, which scores
-  /// inline on the connection's worker thread).
+  /// Utterances handed to the scoring pool and not yet scored (event-loop
+  /// engine; always 0 under the threaded one, which scores inline on the
+  /// connection's worker thread).
   std::uint64_t scores_in_flight = 0;
 };
 

@@ -9,14 +9,17 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "core/scoring_workspace.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/listener.h"
 
 namespace headtalk::serve {
@@ -39,8 +42,16 @@ obs::Gauge& metric_active() {
   static obs::Gauge& g = obs::Registry::global().gauge("serve.active_connections");
   return g;
 }
+obs::Counter& metric_deadline_expired() {
+  static obs::Counter& c = obs::Registry::global().counter("serve.deadline_expired");
+  return c;
+}
 obs::Histogram& metric_request_seconds() {
   static obs::Histogram& h = obs::Registry::global().histogram("serve.request_seconds");
+  return h;
+}
+obs::Histogram& metric_score_seconds() {
+  static obs::Histogram& h = obs::Registry::global().histogram("serve.score_seconds");
   return h;
 }
 // Reactor-specific: wall time one loop iteration spends dispatching ready
@@ -56,6 +67,17 @@ std::int64_t steady_us() {
              Clock::now().time_since_epoch())
       .count();
 }
+
+/// One scored utterance on its way back to the owning loop.
+struct ScoreOutcome {
+  bool ok = false;  ///< false when the pipeline threw; `error` says why
+  core::PipelineResult result{};
+  core::FeatureCapture features{};
+  /// Wall time from submit to scored — what the DECISION latency field
+  /// reports, queue wait included, since the client experiences it.
+  double elapsed_seconds = 0.0;
+  std::string error;
+};
 
 }  // namespace
 
@@ -129,9 +151,6 @@ class EventLoopServer::Loop {
     Clock::time_point deadline{};
     std::uint32_t interest = 0;  ///< currently registered poller mask
     bool closing = false;        ///< close once `out` drains
-    /// The score hook could not submit (scheduler already draining); the
-    /// loop fails the session once the current on_bytes call unwinds.
-    bool submit_failed = false;
   };
 
   void run();
@@ -139,7 +158,10 @@ class EventLoopServer::Loop {
   void accept_ready(int listener_fd);
   void on_conn_event(Conn* conn, const PollerEvent& event);
   void on_readable(Conn* conn);
-  void on_score_done(std::uint64_t conn_id, BatchScheduler::Outcome&& outcome);
+  /// Queues `utterance` on the scoring pool; the verdict comes back to
+  /// on_score_done on this loop's thread.
+  void submit_score(std::uint64_t conn_id, PendingUtterance&& utterance);
+  void on_score_done(std::uint64_t conn_id, ScoreOutcome&& outcome);
   /// Common post-Session bookkeeping: output, counters, deadline resets,
   /// drain close, interest update, flush. May destroy `conn`.
   void after_session_io(Conn* conn, std::size_t decisions_before, bool alive);
@@ -276,31 +298,11 @@ void EventLoopServer::Loop::make_conn(int fd) {
   raw->deadline = raw->request_start +
                   std::chrono::milliseconds(server_.config_.base.request_deadline_ms);
 
-  // Defer END_OF_UTTERANCE scoring into the batch scheduler. The hook runs
-  // on this loop thread (inside session.on_bytes / complete_score); the
-  // completion hops back here via post() so Session stays loop-confined.
+  // Defer END_OF_UTTERANCE scoring to the scoring pool. The hook runs on
+  // this loop thread (inside session.on_bytes / complete_score).
   const std::uint64_t conn_id = raw->slot->id;
-  Loop* loop = this;
-  raw->session.set_score_hook([loop, raw, conn_id](PendingUtterance&& utterance) {
-    BatchScheduler::Job job;
-    job.utterance = std::move(utterance);
-    job.mode = loop->server_.config_.base.session.mode;
-    job.done = [loop, conn_id](BatchScheduler::Outcome&& outcome) {
-      loop->server_.inflight_.fetch_sub(1, std::memory_order_relaxed);
-      auto boxed =
-          std::make_shared<BatchScheduler::Outcome>(std::move(outcome));
-      // post() failing means the loop exited; the conn is gone with it.
-      (void)loop->post([loop, conn_id, boxed] {
-        loop->on_score_done(conn_id, std::move(*boxed));
-      });
-    };
-    // Count before submitting: the scoring thread may run `done` (and
-    // decrement) before submit() even returns here.
-    loop->server_.inflight_.fetch_add(1, std::memory_order_relaxed);
-    if (!loop->server_.scheduler_->submit(std::move(job))) {
-      loop->server_.inflight_.fetch_sub(1, std::memory_order_relaxed);
-      raw->submit_failed = true;
-    }
+  raw->session.set_score_hook([this, conn_id](PendingUtterance&& utterance) {
+    submit_score(conn_id, std::move(utterance));
   });
 
   conns_.emplace(conn_id, std::move(conn));
@@ -341,8 +343,40 @@ void EventLoopServer::Loop::on_readable(Conn* conn) {
   after_session_io(conn, decisions_before, alive);
 }
 
+void EventLoopServer::Loop::submit_score(std::uint64_t conn_id,
+                                         PendingUtterance&& utterance) {
+  // Count before submitting: the scoring thread may finish (and
+  // decrement) before submit() even returns here.
+  server_.inflight_.fetch_add(1, std::memory_order_relaxed);
+  server_.scorers_->submit([this, conn_id, utterance = std::move(utterance),
+                            enqueued = Clock::now()]() mutable {
+    // One warm workspace per scoring thread, reused for every utterance
+    // it scores (pool threads live until the server stops).
+    thread_local core::ScoringWorkspace workspace;
+    ScoreOutcome outcome;
+    try {
+      obs::ScopedSpan span("serve.score_utterance");
+      obs::Timer timer(&metric_score_seconds());
+      outcome.result = server_.pipeline_.score_capture(
+          utterance.capture, server_.config_.base.session.mode, utterance.followup,
+          utterance.session_open, &workspace,
+          utterance.want_features ? &outcome.features : nullptr);
+      outcome.ok = true;
+    } catch (const std::exception& error) {
+      outcome.error = error.what();
+    }
+    outcome.elapsed_seconds =
+        std::chrono::duration<double>(Clock::now() - enqueued).count();
+    server_.inflight_.fetch_sub(1, std::memory_order_relaxed);
+    // post() failing means the loop exited; the conn is gone with it.
+    (void)post([this, conn_id, outcome = std::move(outcome)]() mutable {
+      on_score_done(conn_id, std::move(outcome));
+    });
+  });
+}
+
 void EventLoopServer::Loop::on_score_done(std::uint64_t conn_id,
-                                          BatchScheduler::Outcome&& outcome) {
+                                          ScoreOutcome&& outcome) {
   const auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;  // deadline/drain closed it; verdict is late
   Conn* conn = it->second.get();
@@ -362,11 +396,6 @@ void EventLoopServer::Loop::on_score_done(std::uint64_t conn_id,
 void EventLoopServer::Loop::after_session_io(Conn* conn,
                                              std::size_t decisions_before,
                                              bool alive) {
-  if (conn->submit_failed) {
-    conn->submit_failed = false;
-    conn->session.fail_score("server is draining");
-    alive = false;
-  }
   const auto output = conn->session.take_output();
   if (!output.empty()) {
     conn->out.insert(conn->out.end(), output.begin(), output.end());
@@ -455,9 +484,10 @@ void EventLoopServer::Loop::expire_deadlines() {
     if (!conn->closing && now >= conn->deadline) expired.push_back(conn.get());
   }
   for (Conn* conn : expired) {
-    // Enforced even while the utterance is parked in the batch queue: the
+    // Enforced even while the utterance waits in the scoring queue: the
     // conn closes now and the late verdict is dropped on arrival.
     server_.deadlines_.fetch_add(1, std::memory_order_relaxed);
+    metric_deadline_expired().increment();
     const auto frame = encode_error(ErrorCode::kDeadlineExceeded,
                                     "no complete request within the deadline");
     conn->out.insert(conn->out.end(), frame.begin(), frame.end());
@@ -470,11 +500,6 @@ void EventLoopServer::Loop::expire_deadlines() {
 void EventLoopServer::Loop::start_drain() {
   if (drain_started_) return;
   drain_started_ = true;
-  // Close the gather windows: utterances already parked in the batch queue
-  // score now, so the drain is bounded by scoring time, not window_us.
-  // (Called from the loop thread — request_stop() itself must stay
-  // async-signal-safe and cannot touch the scheduler's mutex.)
-  server_.scheduler_->begin_drain();
   if (index_ == 0) {
     if (server_.unix_fd_ >= 0) {
       poller_->remove(server_.unix_fd_);
@@ -551,11 +576,7 @@ void EventLoopServer::start() {
     (void)set_nonblocking(tcp_fd_);
   }
 
-  BatchSchedulerConfig batch;
-  batch.threads = std::max<std::size_t>(1, config_.scoring_threads);
-  batch.batch_max = std::max<std::size_t>(1, config_.batch_max);
-  batch.window_us = config_.batch_window_us;
-  scheduler_ = std::make_unique<BatchScheduler>(pipeline_, batch);
+  scorers_ = std::make_unique<util::ThreadPool>(util::resolve_jobs(config_.base.workers));
 
   loops_.reserve(config_.loops);
   for (std::size_t i = 0; i < config_.loops; ++i) {
@@ -568,9 +589,7 @@ void EventLoopServer::start() {
       {{"socket", config_.base.socket_path.string()},
        {"tcp_port", config_.base.tcp_port},
        {"loops", static_cast<std::uint64_t>(config_.loops)},
-       {"scoring_threads", static_cast<std::uint64_t>(config_.scoring_threads)},
-       {"batch_max", static_cast<std::uint64_t>(config_.batch_max)},
-       {"batch_window_us", static_cast<std::uint64_t>(config_.batch_window_us)},
+       {"scoring_threads", static_cast<std::uint64_t>(scorers_->size())},
        {"max_connections", static_cast<std::uint64_t>(config_.max_connections)},
        {"poller", std::string(poller_backend_name(loops_.front()->backend()))}});
 }
@@ -598,8 +617,9 @@ void EventLoopServer::stop() {
     request_stop();
     for (auto& loop : loops_) loop->join();
     // All loops have exited (every conn closed / drained), so nothing can
-    // submit any more: drain the scheduler's residue and join it.
-    if (scheduler_) scheduler_->stop();
+    // submit any more: the pool's destructor runs what is still queued
+    // (verdicts for connections already gone) and joins its threads.
+    scorers_.reset();
     close_quietly(stop_pipe_[0]);
     close_quietly(stop_pipe_[1]);
     stop_pipe_[0] = stop_pipe_[1] = -1;
@@ -614,8 +634,7 @@ void EventLoopServer::stop() {
     obs::log_info("serve.eventloop.stopped",
                   {{"connections", accepted_.load()},
                    {"decisions", decisions_.load()},
-                   {"busy_rejections", busy_.load()},
-                   {"batches", scheduler_ ? scheduler_->batches_scored() : 0}});
+                   {"busy_rejections", busy_.load()}});
   });
 }
 
@@ -627,7 +646,6 @@ ServerStats EventLoopServer::stats() const {
   out.session_errors = errors_.load(std::memory_order_relaxed);
   out.deadline_expirations = deadlines_.load(std::memory_order_relaxed);
   out.active_connections = active_.load(std::memory_order_relaxed);
-  out.batches_scored = scheduler_ ? scheduler_->batches_scored() : 0;
   out.scores_in_flight = inflight_.load(std::memory_order_relaxed);
   return out;
 }

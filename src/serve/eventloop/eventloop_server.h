@@ -1,4 +1,4 @@
-// Event-loop serving core: epoll reactor + micro-batched scoring.
+// Event-loop serving core: epoll reactor + a FIFO scoring pool.
 //
 // The thread-per-connection Server (serve/server.h) spends one OS thread —
 // stack, scheduler slot, blocking poll — per client, which tops out around
@@ -12,11 +12,12 @@
 //   * Frame parsing and streaming-mode (auto-endpoint) scoring run on the
 //     loop threads — after the frame-incremental refactor both are cheap.
 //     Whole-utterance scoring (END_OF_UTTERANCE) is deferred through the
-//     Session score hook into a BatchScheduler, which gathers ready
-//     utterances across connections within --batch-window-us (up to
-//     --batch-max) and scores them back-to-back on a warm workspace.
-//     Completions post back to the owning loop over its wake pipe, so all
-//     Session state stays loop-thread-confined.
+//     Session score hook into a util::ThreadPool of scoring threads (sized
+//     like the threaded engine's workers, --jobs). Each utterance is one
+//     FIFO task: score_capture on the thread's warm ScoringWorkspace,
+//     recorded in serve.score_seconds. The completion posts back to the
+//     owning loop over its wake pipe, so all Session state stays
+//     loop-thread-confined.
 //   * Writes are buffered and nonblocking: output is sent immediately as
 //     far as the socket accepts, the rest parks in a per-connection buffer
 //     with EPOLLOUT interest toggled on until it drains. A connection with
@@ -25,10 +26,10 @@
 //
 // Semantics match the threaded engine: per-utterance deadlines (reset per
 // DECISION; streaming mode resets per received chunk) are enforced even
-// while an utterance is parked in the batch queue; saturation (at
+// while an utterance waits in the scoring queue; saturation (at
 // max_connections) answers BUSY and closes; request_stop() drains — idle
-// connections get kShuttingDown, in-flight utterances get their DECISIONs,
-// then the loops exit.
+// connections get kShuttingDown, in-flight utterances (queued ones too) get
+// their DECISIONs, then the loops exit and the pool runs dry.
 #pragma once
 
 #include <atomic>
@@ -40,26 +41,23 @@
 #include "core/pipeline.h"
 #include "serve/conn_table.h"
 #include "serve/engine.h"
-#include "serve/eventloop/batch_scheduler.h"
 #include "serve/eventloop/poller.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "util/thread_pool.h"
 
 namespace headtalk::serve {
 
 struct EventLoopConfig {
   /// Socket paths, deadline, session limits — shared with the threaded
-  /// engine. (`workers` and `max_pending` are that engine's knobs and are
-  /// ignored here; an empty socket_path skips the unix listener, which is
-  /// how shard children run fd-passing-only.)
+  /// engine. `workers` sizes the scoring pool (0 = util::resolve_jobs
+  /// auto); `max_pending` is the threaded engine's knob and is ignored
+  /// here. An empty socket_path skips the unix listener, which is how
+  /// shard children run fd-passing-only.
   ServerConfig base{};
   /// Reactor threads. 1 suits a single-core host; the structure scales by
   /// adding loops, not threads-per-connection.
   std::size_t loops = 1;
-  /// Scoring threads feeding score_batch (see BatchSchedulerConfig).
-  std::size_t scoring_threads = 1;
-  std::size_t batch_max = 8;
-  std::uint32_t batch_window_us = 500;
   /// Connections held concurrently across all loops; beyond this a new
   /// connection is answered BUSY and closed, exactly like the threaded
   /// engine's full pending queue.
@@ -96,6 +94,11 @@ class EventLoopServer final : public ServerEngine {
 
   void adopt_connection(int fd) override;
 
+  /// The FIFO pool END_OF_UTTERANCE captures are scored on; it exists
+  /// between start() and stop(). Any task submitted here queues ahead of
+  /// the utterances that arrive after it.
+  [[nodiscard]] util::ThreadPool& scoring_pool() noexcept { return *scorers_; }
+
  private:
   class Loop;
   friend class Loop;
@@ -111,7 +114,7 @@ class EventLoopServer final : public ServerEngine {
   int tcp_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};
 
-  std::unique_ptr<BatchScheduler> scheduler_;
+  std::unique_ptr<util::ThreadPool> scorers_;
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<std::size_t> next_loop_{0};
 

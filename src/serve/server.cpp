@@ -31,6 +31,10 @@ obs::Counter& metric_busy() {
   static obs::Counter& c = obs::Registry::global().counter("serve.busy");
   return c;
 }
+obs::Counter& metric_deadline_expired() {
+  static obs::Counter& c = obs::Registry::global().counter("serve.deadline_expired");
+  return c;
+}
 obs::Gauge& metric_active() {
   static obs::Gauge& g = obs::Registry::global().gauge("serve.active_connections");
   return g;
@@ -272,6 +276,7 @@ void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
     const auto now = Clock::now();
     if (now >= deadline) {
       deadlines_.fetch_add(1, std::memory_order_relaxed);
+      metric_deadline_expired().increment();
       const auto frame = encode_error(ErrorCode::kDeadlineExceeded,
                                       "no complete request within the deadline");
       (void)send_all(fd, frame.data(), frame.size());

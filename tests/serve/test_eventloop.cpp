@@ -1,9 +1,10 @@
 // The event-loop serve core, end to end over real sockets: verdict parity
-// with the threaded engine, micro-batched scoring, BUSY at the connection
-// cap, graceful drain that answers utterances parked in the batch queue,
-// deadlines enforced while parked, byte-at-a-time delivery through a
-// nonblocking adopted socket, and a 256-client exactly-one-DECISION stress
-// run driven by the multiplexed load driver.
+// with the threaded engine, BUSY at the connection cap, graceful drain that
+// answers utterances queued behind busy scorers, deadlines enforced while
+// queued, byte-at-a-time delivery through a nonblocking adopted socket, and
+// a 256-client exactly-one-DECISION stress run driven by the multiplexed
+// load driver. The scoring-pool contracts run with one scoring thread and
+// with several.
 #include "serve/eventloop/eventloop_server.h"
 
 #include <sys/socket.h>
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <future>
 #include <numbers>
 #include <string>
 #include <thread>
@@ -49,6 +51,10 @@ EventLoopConfig normal_mode_config(const std::string& tag) {
   return config;
 }
 
+/// Scoring-pool sizes the pool contracts are checked at: a single scorer
+/// and several.
+constexpr unsigned kScorerCounts[] = {1, 4};
+
 /// Polls `predicate` until it holds or ~5 s pass.
 template <typename Predicate>
 bool eventually(Predicate predicate) {
@@ -58,6 +64,47 @@ bool eventually(Predicate predicate) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return predicate();
+}
+
+/// Occupies every scoring thread of a started server until open() (or
+/// destruction), so the next utterance waits in the scoring queue. The
+/// pool is FIFO, so the blockers run ahead of anything submitted later.
+class ScorerGate {
+ public:
+  ScorerGate(EventLoopServer& server, unsigned scorers) {
+    const std::shared_future<void> released = release_.get_future().share();
+    for (unsigned i = 0; i < scorers; ++i) {
+      server.scoring_pool().submit([released] { released.wait(); });
+    }
+  }
+  ~ScorerGate() { open(); }
+  ScorerGate(const ScorerGate&) = delete;
+  ScorerGate& operator=(const ScorerGate&) = delete;
+
+  void open() {
+    if (!open_) release_.set_value();
+    open_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  bool open_ = false;
+};
+
+/// Sends one whole utterance without waiting for its verdict.
+void send_utterance(BlockingClient& client, const audio::MultiBuffer& capture) {
+  std::vector<float> interleaved(capture.frames() * capture.channel_count());
+  for (std::size_t f = 0; f < capture.frames(); ++f) {
+    for (std::size_t c = 0; c < capture.channel_count(); ++c) {
+      interleaved[f * capture.channel_count() + c] =
+          static_cast<float>(capture.channel(c)[f]);
+    }
+  }
+  const auto chunk = encode_audio_chunk(
+      interleaved, static_cast<std::uint16_t>(capture.channel_count()));
+  client.send_bytes(chunk.data(), chunk.size());
+  const auto end = encode_end_of_utterance(false);
+  client.send_bytes(end.data(), end.size());
 }
 
 TEST(ServeEventLoop, ScoresOneUtterance) {
@@ -76,13 +123,14 @@ TEST(ServeEventLoop, ScoresOneUtterance) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.decisions, 1u);
   EXPECT_EQ(stats.connections_accepted, 1u);
-  EXPECT_GE(stats.batches_scored, 1u);
+  EXPECT_EQ(stats.scores_in_flight, 0u);
   EXPECT_FALSE(std::filesystem::exists(config.base.socket_path));
 }
 
 TEST(ServeEventLoop, VerdictParityWithThreadedEngine) {
   // Full-DSP scoring of the same capture through both engines must produce
-  // identical verdicts and scores: the batch path calls the same pipeline.
+  // identical verdicts and scores: the scoring pool calls the same
+  // pipeline, and a workspace a previous utterance warmed changes nothing.
   const auto capture = serve_test::make_capture(4, 24000);
 
   ServerConfig threaded_config;
@@ -95,19 +143,24 @@ TEST(ServeEventLoop, VerdictParityWithThreadedEngine) {
   const DecisionFrame expected = threaded_client.score(capture);
   threaded.stop();
 
-  EventLoopConfig config;
-  config.base.socket_path = test_socket_path("parity_e");
-  config.base.request_deadline_ms = 120000;
-  EventLoopServer server(test_pipeline(), config);
-  server.start();
-  auto client = BlockingClient::connect_unix(config.base.socket_path);
-  (void)client.hello();
-  const DecisionFrame actual = client.score(capture);
-  server.stop();
-
-  EXPECT_EQ(actual.decision, expected.decision);
-  EXPECT_DOUBLE_EQ(actual.liveness_score, expected.liveness_score);
-  EXPECT_DOUBLE_EQ(actual.orientation_score, expected.orientation_score);
+  for (const unsigned scorers : kScorerCounts) {
+    SCOPED_TRACE("scorers " + std::to_string(scorers));
+    EventLoopConfig config;
+    config.base.socket_path = test_socket_path("parity_e");
+    config.base.request_deadline_ms = 120000;
+    config.base.workers = scorers;
+    EventLoopServer server(test_pipeline(), config);
+    server.start();
+    auto client = BlockingClient::connect_unix(config.base.socket_path);
+    (void)client.hello();
+    for (int i = 0; i < 2; ++i) {
+      const DecisionFrame actual = client.score(capture, /*followup=*/false);
+      EXPECT_EQ(actual.decision, expected.decision);
+      EXPECT_DOUBLE_EQ(actual.liveness_score, expected.liveness_score);
+      EXPECT_DOUBLE_EQ(actual.orientation_score, expected.orientation_score);
+    }
+    server.stop();
+  }
 }
 
 TEST(ServeEventLoop, PipelinedUtterancesAnswerInOrder) {
@@ -154,76 +207,67 @@ TEST(ServeEventLoop, BusyAtMaxConnections) {
 }
 
 TEST(ServeEventLoop, DrainAnswersUtteranceParkedInBatchQueue) {
-  EventLoopConfig config = normal_mode_config("drain");
-  // A gather window far longer than the test: the utterance sits parked in
-  // the scheduler until stop() forces the drain flush.
-  config.batch_window_us = 30'000'000;
-  config.batch_max = 64;
-  EventLoopServer server(test_pipeline(), config);
-  server.start();
+  for (const unsigned scorers : kScorerCounts) {
+    SCOPED_TRACE("scorers " + std::to_string(scorers));
+    EventLoopConfig config = normal_mode_config("drain");
+    config.base.workers = scorers;
+    EventLoopServer server(test_pipeline(), config);
+    server.start();
+    // Every scorer is busy, so the utterance waits in the scoring queue
+    // until the drain has begun.
+    ScorerGate gate(server, scorers);
 
-  auto client = BlockingClient::connect_unix(config.base.socket_path);
-  (void)client.hello();
-  const auto capture = serve_test::make_capture(4, 256);
-  std::vector<float> interleaved(capture.frames() * 4);
-  for (std::size_t f = 0; f < capture.frames(); ++f) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      interleaved[f * 4 + c] = static_cast<float>(capture.channel(c)[f]);
-    }
+    auto client = BlockingClient::connect_unix(config.base.socket_path);
+    (void)client.hello();
+    send_utterance(client, serve_test::make_capture(4, 256));
+    ASSERT_TRUE(eventually([&] { return server.stats().scores_in_flight == 1; }));
+
+    // Stop with the utterance queued: the drain must wait for it and
+    // deliver its DECISION before the loops exit.
+    std::thread stopper([&] { server.stop(); });
+    EXPECT_TRUE(eventually([&] { return server.draining(); }));
+    gate.open();
+    const Frame reply = client.read_frame(10000);
+    stopper.join();
+    EXPECT_EQ(reply.type, FrameType::kDecision);
+    EXPECT_EQ(parse_decision(reply).decision,
+              static_cast<std::uint8_t>(core::Decision::kAccepted));
+    EXPECT_FALSE(server.running());
+    EXPECT_EQ(server.stats().decisions, 1u);
+    EXPECT_FALSE(std::filesystem::exists(config.base.socket_path));
   }
-  const auto chunk = encode_audio_chunk(interleaved, 4);
-  client.send_bytes(chunk.data(), chunk.size());
-  const auto end = encode_end_of_utterance(false);
-  client.send_bytes(end.data(), end.size());
-
-  // Wait until the utterance is actually parked in the batch queue, then
-  // stop. The drain must flush the batch and deliver this DECISION.
-  ASSERT_TRUE(eventually([&] { return server.stats().scores_in_flight == 1; }));
-  std::thread stopper([&] { server.stop(); });
-  const Frame reply = client.read_frame(10000);
-  EXPECT_EQ(reply.type, FrameType::kDecision);
-  EXPECT_EQ(parse_decision(reply).decision,
-            static_cast<std::uint8_t>(core::Decision::kAccepted));
-  stopper.join();
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.stats().decisions, 1u);
-  EXPECT_FALSE(std::filesystem::exists(config.base.socket_path));
 }
 
 TEST(ServeEventLoop, DeadlineEnforcedWhileParkedInBatchQueue) {
-  EventLoopConfig config = normal_mode_config("deadline_parked");
-  config.base.request_deadline_ms = 150;
-  // The batch never fills and the window outlives the deadline: the only
-  // way the client hears back in time is the loop's deadline sweep.
-  config.batch_window_us = 30'000'000;
-  config.batch_max = 64;
-  EventLoopServer server(test_pipeline(), config);
-  server.start();
+  for (const unsigned scorers : kScorerCounts) {
+    SCOPED_TRACE("scorers " + std::to_string(scorers));
+    EventLoopConfig config = normal_mode_config("deadline_parked");
+    config.base.request_deadline_ms = 150;
+    config.base.workers = scorers;
+    EventLoopServer server(test_pipeline(), config);
+    server.start();
+    // The scorers stay busy past the deadline: the only way the client
+    // hears back in time is the loop's deadline sweep.
+    ScorerGate gate(server, scorers);
 
-  auto client = BlockingClient::connect_unix(config.base.socket_path);
-  (void)client.hello();
-  const auto capture = serve_test::make_capture(4, 256);
-  std::vector<float> interleaved(capture.frames() * 4);
-  for (std::size_t f = 0; f < capture.frames(); ++f) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      interleaved[f * 4 + c] = static_cast<float>(capture.channel(c)[f]);
-    }
+    auto client = BlockingClient::connect_unix(config.base.socket_path);
+    (void)client.hello();
+    send_utterance(client, serve_test::make_capture(4, 256));
+
+    const Frame reply = client.read_frame(5000);
+    EXPECT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(parse_error(reply).code, ErrorCode::kDeadlineExceeded);
+    // The server closes after the error; the next read sees EOF.
+    EXPECT_THROW((void)client.read_frame(5000), ClientError);
+    EXPECT_TRUE(eventually([&] { return server.stats().deadline_expirations == 1; }));
+    EXPECT_EQ(server.stats().scores_in_flight, 1u);
+    gate.open();
+    server.stop();
+    // The pool eventually scored the queued capture, but the verdict found
+    // no connection to deliver to — no decision is counted.
+    EXPECT_EQ(server.stats().decisions, 0u);
+    EXPECT_EQ(server.stats().scores_in_flight, 0u);
   }
-  const auto chunk = encode_audio_chunk(interleaved, 4);
-  client.send_bytes(chunk.data(), chunk.size());
-  const auto end = encode_end_of_utterance(false);
-  client.send_bytes(end.data(), end.size());
-
-  const Frame reply = client.read_frame(5000);
-  EXPECT_EQ(reply.type, FrameType::kError);
-  EXPECT_EQ(parse_error(reply).code, ErrorCode::kDeadlineExceeded);
-  // The server closes after the error; the next read sees EOF.
-  EXPECT_THROW((void)client.read_frame(5000), ClientError);
-  EXPECT_TRUE(eventually([&] { return server.stats().deadline_expirations == 1; }));
-  server.stop();
-  // The batch eventually scored the parked capture, but the verdict found
-  // no connection to deliver to — no decision is counted.
-  EXPECT_EQ(server.stats().decisions, 0u);
 }
 
 TEST(ServeEventLoop, IdleDeadlineExpires) {
@@ -399,7 +443,7 @@ TEST(ServeEventLoop, PollBackendServes) {
 TEST(ServeEventLoop, TwoLoopsTwoScoringThreads) {
   EventLoopConfig config = normal_mode_config("multiloop");
   config.loops = 2;
-  config.scoring_threads = 2;
+  config.base.workers = 2;
   EventLoopServer server(test_pipeline(), config);
   server.start();
 
@@ -437,30 +481,32 @@ TEST(ServeEventLoop, Stress256ClientsExactlyOneDecisionEach) {
   // The multiplexed load driver holds 256 concurrent connections from one
   // thread; each fires one utterance. Every connection must get exactly
   // one well-formed DECISION — protocol_violations counts any breach.
-  EventLoopConfig config = normal_mode_config("stress256");
-  config.batch_max = 16;
-  EventLoopServer server(test_pipeline(), config);
-  server.start();
+  for (const unsigned scorers : kScorerCounts) {
+    SCOPED_TRACE("scorers " + std::to_string(scorers));
+    EventLoopConfig config = normal_mode_config("stress256");
+    config.base.workers = scorers;
+    EventLoopServer server(test_pipeline(), config);
+    server.start();
 
-  LoadDriverConfig load;
-  load.socket_path = config.base.socket_path;
-  load.connections = 256;
-  load.utterances = 256;  // one per connection (closed loop)
-  load.utterance_frames = 256;
-  load.ramp_ms = 50;
-  const LoadReport report = run_load(load);
+    LoadDriverConfig load;
+    load.socket_path = config.base.socket_path;
+    load.connections = 256;
+    load.utterances = 256;  // one per connection (closed loop)
+    load.utterance_frames = 256;
+    load.ramp_ms = 50;
+    const LoadReport report = run_load(load);
 
-  EXPECT_EQ(report.decisions, 256u);
-  EXPECT_EQ(report.protocol_violations, 0u);
-  EXPECT_EQ(report.errors, 0u);
-  EXPECT_EQ(report.busy_rejections, 0u);
-  EXPECT_EQ(report.abandoned, 0u);
-  server.stop();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.decisions, 256u);
-  EXPECT_EQ(stats.connections_accepted, 256u);
-  // Concurrent arrivals within the gather window actually batched.
-  EXPECT_LT(stats.batches_scored, 256u);
+    EXPECT_EQ(report.decisions, 256u);
+    EXPECT_EQ(report.protocol_violations, 0u);
+    EXPECT_EQ(report.errors, 0u);
+    EXPECT_EQ(report.busy_rejections, 0u);
+    EXPECT_EQ(report.abandoned, 0u);
+    server.stop();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.decisions, 256u);
+    EXPECT_EQ(stats.connections_accepted, 256u);
+    EXPECT_EQ(stats.scores_in_flight, 0u);
+  }
 }
 
 TEST(ServeEventLoop, StopIsIdempotentAndRestartFails) {

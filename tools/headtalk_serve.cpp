@@ -5,7 +5,7 @@
 //       --tcp-port 7071 --jobs 4 --max-pending 128 --deadline-ms 5000
 //       --admin-socket /tmp/headtalk-admin.sock --admin-port 7072
 //   headtalk_serve --models models --socket /tmp/headtalk.sock
-//       --engine eventloop --loops 2 --batch-max 8 --batch-window-us 500
+//       --engine eventloop --loops 2 --jobs 4
 //   headtalk_serve --models models --socket /tmp/headtalk.sock
 //       --engine eventloop --shards 2 --tcp-port 7071
 //       --admin-socket /tmp/headtalk-admin.sock
@@ -17,11 +17,12 @@
 // drain — queued and in-flight utterances still get their DECISIONs.
 //
 // --engine picks the serving core: `threaded` (thread-per-connection,
-// serve/server.h) or `eventloop` (epoll reactor + micro-batched scoring,
+// serve/server.h) or `eventloop` (epoll reactor + a scoring pool,
 // serve/eventloop/). Both speak the same protocol with the same semantics;
 // the event loop holds thousands of concurrent connections on --loops
-// reactor threads and gathers ready utterances into score_batch calls
-// within --batch-window-us (up to --batch-max per batch).
+// reactor threads and scores each utterance on its own as one FIFO task
+// of a --jobs-thread scoring pool. Under either engine --jobs is the
+// number of threads that score.
 //
 // --shards N (eventloop only) forks N serve processes before any threads
 // exist. Each shard binds the TCP port with SO_REUSEPORT (the kernel
@@ -120,9 +121,6 @@ struct ServeOptions {
   serve::ServerConfig config;
   std::string engine = "threaded";
   std::size_t loops = 1;
-  std::size_t scoring_threads = 1;
-  std::size_t batch_max = 8;
-  std::uint32_t batch_window_us = 500;
   std::size_t max_connections = 4096;
   serve::PollerBackend poller = serve::PollerBackend::kAuto;
   std::size_t shards = 1;
@@ -146,9 +144,6 @@ ServeOptions parse_options(const cli::ArgParser& args) {
   opt.config.session.mode = parse_mode(opt.mode_name);
   opt.engine = args.get("--engine");
   opt.loops = static_cast<std::size_t>(args.get_int("--loops"));
-  opt.scoring_threads = static_cast<std::size_t>(args.get_int("--scoring-threads"));
-  opt.batch_max = static_cast<std::size_t>(args.get_int("--batch-max"));
-  opt.batch_window_us = static_cast<std::uint32_t>(args.get_int("--batch-window-us"));
   opt.max_connections = static_cast<std::size_t>(args.get_int("--max-connections"));
   opt.poller = serve::parse_poller_backend(args.get("--poller"));
   opt.shards = static_cast<std::size_t>(args.get_int("--shards"));
@@ -172,8 +167,8 @@ ServeOptions parse_options(const cli::ArgParser& args) {
   if (opt.shards > 1 && opt.engine != "eventloop") {
     throw cli::ArgsError("--shards > 1 requires --engine eventloop");
   }
-  if (opt.loops < 1 || opt.batch_max < 1 || opt.max_connections < 1) {
-    throw cli::ArgsError("--loops, --batch-max and --max-connections must be >= 1");
+  if (opt.loops < 1 || opt.max_connections < 1) {
+    throw cli::ArgsError("--loops and --max-connections must be >= 1");
   }
   return opt;
 }
@@ -222,9 +217,6 @@ int run_server(const ServeOptions& options, int shard_index, int channel_fd) {
       ec.reuseport = ec.base.tcp_port > 0;
     }
     ec.loops = options.loops;
-    ec.scoring_threads = options.scoring_threads;
-    ec.batch_max = options.batch_max;
-    ec.batch_window_us = options.batch_window_us;
     ec.max_connections = options.max_connections;
     ec.poller = options.poller;
     engine = std::make_unique<serve::EventLoopServer>(pipeline, ec);
@@ -289,8 +281,7 @@ int run_server(const ServeOptions& options, int shard_index, int channel_fd) {
       extra << "\"mode\":\"" << mode << "\",\"engine\":\"" << engine_name
             << "\",\"decisions\":" << stats.decisions
             << ",\"busy_rejections\":" << stats.busy_rejections
-            << ",\"connections_accepted\":" << stats.connections_accepted
-            << ",\"batches_scored\":" << stats.batches_scored;
+            << ",\"connections_accepted\":" << stats.connections_accepted;
       if (shard_index >= 0) extra << ",\"shard\":" << shard_index;
       return extra.str();
     };
@@ -330,14 +321,12 @@ int run_server(const ServeOptions& options, int shard_index, int channel_fd) {
   g_server = nullptr;
   std::printf(
       "%s: drained — %llu connections, %llu decisions, "
-      "%llu busy rejections, %llu session errors, %llu deadline expirations, "
-      "%llu batches\n",
+      "%llu busy rejections, %llu session errors, %llu deadline expirations\n",
       tag.c_str(), static_cast<unsigned long long>(stats.connections_accepted),
       static_cast<unsigned long long>(stats.decisions),
       static_cast<unsigned long long>(stats.busy_rejections),
       static_cast<unsigned long long>(stats.session_errors),
-      static_cast<unsigned long long>(stats.deadline_expirations),
-      static_cast<unsigned long long>(stats.batches_scored));
+      static_cast<unsigned long long>(stats.deadline_expirations));
   // Final metrics snapshot through the exporter: the text form here for
   // the operator's terminal, and — via ObsSession at scope exit — the
   // same snapshot as mergeable JSON when --metrics-out was given.
@@ -447,13 +436,6 @@ int main(int argc, char** argv) {
   args.add_flag("--device", "device the captures come from (aperture): D1|D2|D3", "D2");
   args.add_flag("--engine", "serving core: threaded|eventloop", "threaded");
   args.add_flag("--loops", "event-loop reactor threads (eventloop engine)", "1");
-  args.add_flag("--scoring-threads",
-                "batch-scoring threads (eventloop engine)", "1");
-  args.add_flag("--batch-max",
-                "utterances scored per score_batch call (eventloop engine)", "8");
-  args.add_flag("--batch-window-us",
-                "micro-batch gather window in microseconds (eventloop engine)",
-                "500");
   args.add_flag("--max-connections",
                 "concurrent connections before BUSY (eventloop engine)", "4096");
   args.add_flag("--poller", "readiness backend: auto|epoll|poll", "auto");
