@@ -1,4 +1,4 @@
-// Serving scale: the event-loop engine under 1000+ multiplexed
+// Serving scale: the server under 1000+ multiplexed
 // connections, plus SO_REUSEPORT shard scaling.
 //
 // Three phases:
@@ -9,7 +9,7 @@
 //      rps_2shard and shard_speedup, plus a merged-vs-sum check of the
 //      per-shard /metrics.json snapshots through obs::merge (the exact
 //      path `headtalk_client --admin-merge` exercises);
-//   3. the headline scale run: an in-process EventLoopServer on a Unix
+//   3. the headline scale run: an in-process serve::Server on a Unix
 //      socket driven by the multiplexed LoadDriver holding
 //      $HEADTALK_SCALE_BENCH_CLIENTS (default 1000) concurrent
 //      connections, firing utterances open-loop at a fixed global
@@ -27,8 +27,11 @@
 //
 // Shard processes fork BEFORE the parent spawns any threads (the obs
 // registry and scoring pipeline are process-global; fork-then-build is
-// the only safe order); each child builds its own pipeline, engine and
-// admin plane, and exits on SIGTERM via the engine's graceful drain.
+// the only safe order); each child builds its own pipeline, server and
+// admin plane, and exits on SIGTERM via the server's graceful drain.
+//
+// $HEADTALK_SCALE_BENCH_JOBS (default 2) sets each server's loop threads,
+// which are also the threads that score.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -44,8 +47,8 @@
 #include "core/pipeline.h"
 #include "obs/export.h"
 #include "serve/admin.h"
-#include "serve/eventloop/eventloop_server.h"
 #include "serve/load_driver.h"
+#include "serve/server.h"
 
 using namespace headtalk;
 
@@ -102,32 +105,30 @@ core::LivenessDetector make_liveness() {
 }
 
 struct Knobs {
-  unsigned clients, rps, utterances, loops, scoring;
+  unsigned clients, rps, utterances, jobs;
   unsigned shard_clients, shard_utterances, frames;
 };
 
-serve::ServerEngine* g_child_engine = nullptr;
+serve::Server* g_child_server = nullptr;
 void child_term(int) {
-  if (g_child_engine != nullptr) g_child_engine->request_stop();
+  if (g_child_server != nullptr) g_child_server->request_stop();
 }
 
-/// Shard child body: builds its own pipeline + event-loop engine on the
+/// Shard child body: builds its own pipeline + server on the
 /// shared SO_REUSEPORT port plus a private admin plane, serves until
 /// SIGTERM, drains, exits. Never returns to the bench main.
 [[noreturn]] void run_shard_child(int tcp_port,
                                   const std::filesystem::path& admin_socket,
                                   const Knobs& knobs) {
   const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
-  serve::EventLoopConfig config;
-  config.base.socket_path.clear();  // TCP only; fd passing is not under test
-  config.base.tcp_port = tcp_port;
-  config.base.request_deadline_ms = 120000;
+  serve::ServerConfig config;
+  config.tcp_port = tcp_port;  // TCP only; fd passing is not under test
+  config.request_deadline_ms = 120000;
   config.reuseport = true;
-  config.loops = knobs.loops;
-  config.base.workers = knobs.scoring;
-  serve::EventLoopServer engine(pipeline, config);
-  engine.start();
-  g_child_engine = &engine;
+  config.workers = knobs.jobs;
+  serve::Server server(pipeline, config);
+  server.start();
+  g_child_server = &server;
   std::signal(SIGTERM, child_term);
 
   serve::AdminConfig admin_config;
@@ -135,8 +136,8 @@ void child_term(int) {
   serve::AdminServer admin(admin_config);
   admin.start();
 
-  engine.wait();
-  engine.stop();
+  server.wait();
+  server.stop();
   admin.stop();
   std::_Exit(0);
 }
@@ -254,14 +255,13 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
 
 int main() {
   bench::print_title("serve_scale",
-                     "event-loop engine: 1000-connection load and shard speedup");
+                     "serve::Server: 1000-connection load and shard speedup");
 
   Knobs knobs;
   knobs.clients = env_or("HEADTALK_SCALE_BENCH_CLIENTS", 1000);
   knobs.rps = env_or("HEADTALK_SCALE_BENCH_RPS", 120);
   knobs.utterances = env_or("HEADTALK_SCALE_BENCH_UTTERANCES", 1200);
-  knobs.loops = env_or("HEADTALK_SCALE_BENCH_LOOPS", 2);
-  knobs.scoring = env_or("HEADTALK_SCALE_BENCH_SCORING", 2);
+  knobs.jobs = env_or("HEADTALK_SCALE_BENCH_JOBS", 2);
   knobs.shard_clients = env_or("HEADTALK_SCALE_BENCH_SHARD_CLIENTS", 64);
   knobs.shard_utterances = env_or("HEADTALK_SCALE_BENCH_SHARD_UTTERANCES", 384);
   knobs.frames = env_or("HEADTALK_SCALE_BENCH_FRAMES", 4800);
@@ -345,23 +345,22 @@ int main() {
     ok = false;
   }
 
-  // ---- Phase 3: the headline scale run. One in-process event-loop
-  // engine, `clients` concurrent multiplexed connections, open-loop
+  // ---- Phase 3: the headline scale run. One in-process server,
+  // `clients` concurrent multiplexed connections, open-loop
   // arrivals at a fixed global rate.
   const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
-  serve::EventLoopConfig config;
-  config.base.socket_path =
+  serve::ServerConfig config;
+  config.socket_path =
       std::filesystem::temp_directory_path() /
       ("headtalk_bench_scale_" + std::to_string(::getpid()) + ".sock");
-  config.base.request_deadline_ms = 120000;
-  config.loops = knobs.loops;
-  config.base.workers = knobs.scoring;
+  config.request_deadline_ms = 120000;
+  config.workers = knobs.jobs;
   config.max_connections = knobs.clients + 64;
-  serve::EventLoopServer server(pipeline, config);
+  serve::Server server(pipeline, config);
   server.start();
 
   serve::LoadDriverConfig load;
-  load.socket_path = config.base.socket_path;
+  load.socket_path = config.socket_path;
   load.connections = knobs.clients;
   load.arrival_rps = static_cast<double>(knobs.rps);
   load.utterances = knobs.utterances;

@@ -253,7 +253,6 @@ int main() {
   serve::ServerConfig config;
   config.socket_path = std::filesystem::temp_directory_path() /
                        ("headtalk_bench_tserve_" + std::to_string(::getpid()) + ".sock");
-  config.max_pending = 2 * clients + 8;
   config.request_deadline_ms = 120000;  // scoring on a loaded 1-CPU host is slow
   config.session.tenants = &service;
   serve::Server server(pipeline, config);

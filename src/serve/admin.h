@@ -39,7 +39,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/engine.h"
+#include "serve/conn_table.h"
 
 namespace headtalk::serve {
 

@@ -1,4 +1,4 @@
-// Readiness multiplexer behind the event-loop engine.
+// Readiness multiplexer behind the server's event loops.
 //
 // One Poller watches the fds of one loop thread (listener, wakeup, and
 // every connection the loop owns) and reports readiness. Two backends
@@ -9,11 +9,11 @@
 //            mostly-idle streaming connections.
 //   kPoll  — poll(2) over a rebuilt pollfd vector: O(watched) per wait,
 //            kept as the portability fallback and to cross-check the
-//            epoll path in tests (the engine behaves identically on both).
+//            epoll path in tests (the server behaves identically on both).
 //
 // kAuto picks epoll where it exists (Linux) and poll elsewhere. The
 // registered `void*` datum is returned verbatim with each event — the
-// engine stores its per-connection struct there and never does an fd
+// server stores its per-connection struct there and never does an fd
 // lookup on the hot path.
 #pragma once
 

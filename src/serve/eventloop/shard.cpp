@@ -12,6 +12,7 @@
 
 #include "obs/log.h"
 #include "serve/listener.h"
+#include "serve/server.h"
 
 namespace headtalk::serve {
 
@@ -154,8 +155,8 @@ void ShardFront::accept_loop() {
 // ---------------------------------------------------------------------------
 // ShardFdReceiver
 
-ShardFdReceiver::ShardFdReceiver(int channel, ServerEngine& engine)
-    : channel_(channel), engine_(engine) {}
+ShardFdReceiver::ShardFdReceiver(int channel, Server& server)
+    : channel_(channel), server_(server) {}
 
 ShardFdReceiver::~ShardFdReceiver() {
   if (started_.load(std::memory_order_acquire)) {
@@ -188,7 +189,7 @@ void ShardFdReceiver::receive_loop() {
     const int fd = recv_fd(channel_);
     if (fd < 0) return;  // parent front stopped (or died)
     adopted_.fetch_add(1, std::memory_order_relaxed);
-    engine_.adopt_connection(fd);
+    server_.adopt_connection(fd);
   }
 }
 

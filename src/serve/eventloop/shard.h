@@ -2,7 +2,7 @@
 //
 // The obs Registry, the tenant store and the scoring pipeline are all
 // process-global, so scaling past one process's loops means real child
-// processes — each with its own engine, admin plane and metrics. Two
+// processes — each with its own server, admin plane and metrics. Two
 // transports get client connections into the children:
 //
 //   TCP      — every shard binds the same 127.0.0.1 port with SO_REUSEPORT
@@ -14,10 +14,10 @@
 //              loop that deals each accepted fd round-robin to the shards
 //              over SOCK_SEQPACKET socketpairs with SCM_RIGHTS. A
 //              ShardFdReceiver thread in each child picks fds off its
-//              channel and hands them to ServerEngine::adopt_connection().
+//              channel and hands them to Server::adopt_connection().
 //
 // Forking happens before any threads exist (the daemon forks shards, THEN
-// each child builds its pipeline/engine/admin) — the only fork-safe order.
+// each child builds its pipeline/server/admin) — the only fork-safe order.
 // Per-shard metrics merge back together offline: each shard's admin plane
 // serves /metrics.json and `headtalk_client --admin-merge` folds the
 // snapshots with obs::merge.
@@ -29,9 +29,9 @@
 #include <thread>
 #include <vector>
 
-#include "serve/engine.h"
-
 namespace headtalk::serve {
+
+class Server;
 
 /// SOCK_SEQPACKET socketpair for parent→child fd passing. Both ends are
 /// CLOEXEC; the caller gives child_end to the forked shard (fds survive
@@ -88,11 +88,11 @@ class ShardFront {
 };
 
 /// Child-side receiver: blocks on the channel, adopting every arriving fd
-/// into the engine. Exits on channel EOF (the parent front stopped). The
-/// engine must outlive the receiver.
+/// into the server. Exits on channel EOF (the parent front stopped). The
+/// server must outlive the receiver.
 class ShardFdReceiver {
  public:
-  ShardFdReceiver(int channel, ServerEngine& engine);
+  ShardFdReceiver(int channel, Server& server);
   ~ShardFdReceiver();
 
   ShardFdReceiver(const ShardFdReceiver&) = delete;
@@ -111,7 +111,7 @@ class ShardFdReceiver {
   void receive_loop();
 
   int channel_ = -1;
-  ServerEngine& engine_;
+  Server& server_;
   std::thread thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};

@@ -24,19 +24,6 @@ bool set_nonblocking(int fd) noexcept {
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void send_and_close(int fd, const std::vector<std::uint8_t>& frame) {
   (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
   close_quietly(fd);

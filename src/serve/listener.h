@@ -1,8 +1,7 @@
-// Socket plumbing shared by the serving engines and the shard front:
-// listener construction (Unix / loopback-TCP, optionally SO_REUSEPORT),
-// whole-buffer sends, and the one-shot reject path used for BUSY /
-// shutting-down frames. Split out of server.cpp so the threaded engine,
-// the event-loop engine and the shard runner bind sockets identically.
+// Socket plumbing shared by the server and the shard front: listener
+// construction (Unix / loopback-TCP, optionally SO_REUSEPORT) and the
+// one-shot reject path used for BUSY / shutting-down frames, so the server
+// and the shard runner bind sockets identically.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +22,7 @@ namespace headtalk::serve {
 /// the kernel spread accepts across them. Throws on failure.
 [[nodiscard]] int make_tcp_listener(int port, bool reuseport = false);
 
-/// Sends the whole buffer (blocking fd), retrying short writes and EINTR;
-/// false on a dead peer.
-bool send_all(int fd, const std::uint8_t* data, std::size_t size);
-
-/// Best-effort single-shot frame for connections rejected before an engine
+/// Best-effort single-shot frame for connections rejected before the server
 /// ever owns them (BUSY / shutting-down): one non-blocking send, then
 /// close. Always closes `fd`.
 void send_and_close(int fd, const std::vector<std::uint8_t>& frame);

@@ -2,8 +2,8 @@
 //
 // BlockingClient does one connection per thread, which cannot express
 // "1000 concurrent streaming clients" on a small host. LoadDriver drives
-// every connection from ONE thread over the same Poller the event-loop
-// engine uses: per-connection nonblocking state machines (connect →
+// every connection from ONE thread over the same Poller the server's loops
+// use: per-connection nonblocking state machines (connect →
 // HELLO → fire utterances → await DECISIONs) with pre-encoded frame
 // blobs, so the generator costs almost nothing per connection and the
 // measured latencies are the server's.

@@ -5,10 +5,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "core/scoring_workspace.h"
 #include "obs/log.h"
@@ -31,25 +36,467 @@ obs::Counter& metric_busy() {
   static obs::Counter& c = obs::Registry::global().counter("serve.busy");
   return c;
 }
-obs::Counter& metric_deadline_expired() {
-  static obs::Counter& c = obs::Registry::global().counter("serve.deadline_expired");
-  return c;
-}
 obs::Gauge& metric_active() {
   static obs::Gauge& g = obs::Registry::global().gauge("serve.active_connections");
   return g;
 }
-obs::Histogram& metric_queue_depth() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "serve.queue_depth", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-  return h;
+obs::Counter& metric_deadline_expired() {
+  static obs::Counter& c = obs::Registry::global().counter("serve.deadline_expired");
+  return c;
 }
 obs::Histogram& metric_request_seconds() {
   static obs::Histogram& h = obs::Registry::global().histogram("serve.request_seconds");
   return h;
 }
+// Wall time one loop iteration spends on ready events + posted tasks,
+// inline scoring included: the head-of-line delay the loop's other
+// connections wait.
+obs::Histogram& metric_loop_dispatch_seconds() {
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("serve.loop.dispatch_seconds");
+  return h;
+}
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Loop: one reactor thread.
+
+class Server::Loop {
+ public:
+  Loop(Server& server, std::size_t index) : server_(server), index_(index) {
+    if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
+      throw std::runtime_error("serve: pipe2() failed for loop wakeup");
+    }
+    poller_ = Poller::create(server_.config_.poller);
+  }
+
+  ~Loop() {
+    close_quietly(wake_pipe_[0]);
+    close_quietly(wake_pipe_[1]);
+  }
+
+  void start() {
+    thread_ = std::thread([this] { run(); });
+  }
+
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Async-signal-safe: a full pipe is simply a wakeup already pending.
+  void wake() noexcept {
+    [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], "x", 1);
+  }
+
+  /// Enqueues a task for the loop thread; false once the loop has exited
+  /// (the caller must dispose of any resources the task owned).
+  bool post(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lock(inbox_mutex_);
+      if (!accepting_) return false;
+      inbox_.push_back(std::move(task));
+    }
+    wake();
+    return true;
+  }
+
+  /// Construct-and-register for a dispatched fd; runs on the loop thread.
+  void make_conn(int fd);
+
+  /// The resolved poller backend (kAuto settled to a concrete one).
+  [[nodiscard]] PollerBackend backend() const noexcept { return poller_->backend(); }
+
+ private:
+  struct Watch {
+    enum class Kind { kWakeup, kListenerUnix, kListenerTcp, kConn };
+    Kind kind = Kind::kConn;
+    void* conn = nullptr;  ///< the owning Conn for kConn
+  };
+
+  struct Conn {
+    Conn(const core::HeadTalkPipeline& pipeline, const SessionLimits& limits)
+        : session(pipeline, limits) {}
+
+    int fd = -1;
+    Watch watch{Watch::Kind::kConn, nullptr};
+    Session session;
+    std::shared_ptr<ConnectionTable::Slot> slot;
+    std::vector<std::uint8_t> out;  ///< unsent response bytes
+    std::size_t out_off = 0;
+    Clock::time_point request_start{};
+    Clock::time_point deadline{};
+    std::uint32_t interest = 0;  ///< currently registered poller mask
+    bool closing = false;        ///< close once `out` drains
+  };
+
+  void run();
+  void dispatch(const PollerEvent& event);
+  void accept_ready(int listener_fd);
+  void on_conn_event(Conn* conn, const PollerEvent& event);
+  /// Expires the conn if its deadline has passed; otherwise reads once and
+  /// feeds the bytes to the session (scoring any END_OF_UTTERANCE inline).
+  /// True when the conn is still open for reading and more bytes may be
+  /// pending. May destroy `conn`.
+  bool read_once(Conn* conn);
+  /// Common post-Session bookkeeping: output, counters, deadline resets,
+  /// drain close, interest update, flush. False when `conn` was destroyed.
+  bool after_session_io(Conn* conn, std::size_t decisions_before, bool alive);
+  /// Queues `frame` as the conn's last output and closes it once sent.
+  /// False when `conn` was destroyed.
+  bool close_with(Conn* conn, const std::vector<std::uint8_t>& frame);
+  /// Nonblocking send of the buffered output; toggles write interest.
+  /// Destroys `conn` on a dead peer, or when `closing` with the buffer
+  /// drained, and then returns false.
+  bool flush(Conn* conn);
+  void update_interest(Conn* conn);
+  void expire(Conn* conn);
+  void expire_deadlines();
+  void start_drain();
+  void run_tasks();
+  void destroy(Conn* conn);
+  [[nodiscard]] int poll_timeout_ms() const;
+
+  Server& server_;
+  const std::size_t index_;
+  std::unique_ptr<Poller> poller_;
+  int wake_pipe_[2] = {-1, -1};
+  std::thread thread_;
+
+  std::mutex inbox_mutex_;
+  std::vector<std::function<void()>> inbox_;
+  bool accepting_ = true;  ///< under inbox_mutex_
+
+  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  /// Scoring scratch shared by every session of this loop: after the first
+  /// utterance the scratch and the cached FFT plans stay warm.
+  core::ScoringWorkspace workspace_;
+  bool drain_started_ = false;
+  bool reading_sent_ = false;  ///< start_drain() is reading pre-stop bytes
+
+  Watch wake_watch_{Watch::Kind::kWakeup, nullptr};
+  Watch unix_watch_{Watch::Kind::kListenerUnix, nullptr};
+  Watch tcp_watch_{Watch::Kind::kListenerTcp, nullptr};
+};
+
+void Server::Loop::run() {
+  poller_->add(wake_pipe_[0], Poller::kRead, &wake_watch_);
+  if (index_ == 0) {
+    if (server_.unix_fd_ >= 0) {
+      poller_->add(server_.unix_fd_, Poller::kRead, &unix_watch_);
+    }
+    if (server_.tcp_fd_ >= 0) {
+      poller_->add(server_.tcp_fd_, Poller::kRead, &tcp_watch_);
+    }
+  }
+
+  std::vector<PollerEvent> events(256);
+  while (true) {
+    if (server_.stopping_.load(std::memory_order_acquire)) {
+      start_drain();
+      if (conns_.empty()) break;
+    }
+    const int n = poller_->wait(events, poll_timeout_ms());
+    const auto ready = std::span(events).first(static_cast<std::size_t>(n));
+    const auto dispatch_start = Clock::now();
+    // Posted tasks run before the ready events, so events that waited
+    // behind a long task meet the same deadline check as events that
+    // waited behind scoring. A pending task always leaves the wakeup pipe
+    // readable (see run_tasks()).
+    if (std::any_of(ready.begin(), ready.end(), [this](const PollerEvent& event) {
+          return event.data == &wake_watch_;
+        })) {
+      run_tasks();
+    }
+    for (const PollerEvent& event : ready) dispatch(event);
+    expire_deadlines();
+    if (n > 0) {
+      metric_loop_dispatch_seconds().observe(
+          std::chrono::duration<double>(Clock::now() - dispatch_start).count());
+    }
+  }
+
+  // Refuse new tasks, then run what already arrived: adopt tasks observe
+  // the stop flag and reject their fd.
+  {
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
+    accepting_ = false;
+  }
+  run_tasks();
+}
+
+int Server::Loop::poll_timeout_ms() const {
+  if (conns_.empty()) return -1;  // wakeup pipe / listeners interrupt us
+  auto nearest = Clock::time_point::max();
+  for (const auto& [id, conn] : conns_) {
+    if (!conn->closing) nearest = std::min(nearest, conn->deadline);
+  }
+  if (nearest == Clock::time_point::max()) return 1000;
+  const auto now = Clock::now();
+  if (nearest <= now) return 0;
+  const auto ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(nearest - now).count() + 1;
+  return static_cast<int>(std::clamp<long long>(ms, 1, 1000));
+}
+
+void Server::Loop::dispatch(const PollerEvent& event) {
+  auto* watch = static_cast<Watch*>(event.data);
+  switch (watch->kind) {
+    case Watch::Kind::kWakeup:
+      break;  // run_tasks() already drained the pipe
+    case Watch::Kind::kListenerUnix:
+      accept_ready(server_.unix_fd_);
+      break;
+    case Watch::Kind::kListenerTcp:
+      accept_ready(server_.tcp_fd_);
+      break;
+    case Watch::Kind::kConn:
+      on_conn_event(static_cast<Conn*>(watch->conn), event);
+      break;
+  }
+}
+
+void Server::Loop::accept_ready(int listener_fd) {
+  if (listener_fd < 0) return;
+  while (true) {
+    const int client =
+        ::accept4(listener_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (client < 0) return;  // EAGAIN / transient
+    server_.dispatch_fd(client);
+  }
+}
+
+void Server::Loop::make_conn(int fd) {
+  if (server_.stopping_.load(std::memory_order_acquire)) {
+    // The drain raced the dispatch; this fd was never served.
+    send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
+    server_.active_.fetch_sub(1, std::memory_order_relaxed);
+    metric_active().set(
+        static_cast<double>(server_.active_.load(std::memory_order_relaxed)));
+    return;
+  }
+  auto conn = std::make_unique<Conn>(server_.pipeline_, server_.config_.session);
+  Conn* raw = conn.get();
+  raw->fd = fd;
+  raw->watch.conn = raw;
+  raw->session.set_workspace(&workspace_);
+  raw->slot = server_.conn_table_.insert();
+  raw->slot->accepted_at = Clock::now();
+  raw->slot->touch();
+  raw->request_start = Clock::now();
+  raw->deadline = raw->request_start +
+                  std::chrono::milliseconds(server_.config_.request_deadline_ms);
+
+  conns_.emplace(raw->slot->id, std::move(conn));
+  poller_->add(fd, Poller::kRead, &raw->watch);
+  raw->interest = Poller::kRead;
+}
+
+void Server::Loop::on_conn_event(Conn* conn, const PollerEvent& event) {
+  if (event.writable && !conn->out.empty() && !flush(conn)) return;
+  if (event.readable) {
+    (void)read_once(conn);
+    return;
+  }
+  if (event.error) destroy(conn);  // peer reset with nothing readable
+}
+
+bool Server::Loop::read_once(Conn* conn) {
+  // The deadline is checked before anything new is fed: bytes that waited
+  // past it behind a busy loop must not buy a late DECISION.
+  if (Clock::now() >= conn->deadline) {
+    expire(conn);
+    return false;
+  }
+  std::uint8_t buffer[1 << 16];
+  const ssize_t n = ::recv(conn->fd, buffer, sizeof buffer, 0);
+  if (n == 0) {  // client closed
+    destroy(conn);
+    return false;
+  }
+  if (n < 0) {
+    if (errno == EINTR) return true;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+    destroy(conn);
+    return false;
+  }
+  conn->slot->touch();
+  const std::size_t decisions_before = conn->session.decisions_sent();
+  const bool alive = conn->session.on_bytes(buffer, static_cast<std::size_t>(n));
+  return after_session_io(conn, decisions_before, alive) && !conn->closing;
+}
+
+bool Server::Loop::after_session_io(Conn* conn, std::size_t decisions_before,
+                                    bool alive) {
+  const auto output = conn->session.take_output();
+  if (!output.empty()) {
+    conn->out.insert(conn->out.end(), output.begin(), output.end());
+  }
+  conn->slot->stream_mode.store(conn->session.stream_mode(),
+                                std::memory_order_relaxed);
+  conn->slot->decisions.store(conn->session.decisions_sent(),
+                              std::memory_order_relaxed);
+
+  const auto deadline_budget =
+      std::chrono::milliseconds(server_.config_.request_deadline_ms);
+  if (conn->session.stream_mode()) {
+    // Auto-endpoint streaming: the server owns segmentation, so there is
+    // no "complete request" for the deadline to bound — a quiet room
+    // produces no decisions for minutes. Received audio proves the client
+    // is alive; the deadline degrades to a max inter-chunk silence.
+    conn->request_start = Clock::now();
+    conn->deadline = conn->request_start + deadline_budget;
+  }
+
+  const std::size_t new_decisions =
+      conn->session.decisions_sent() - decisions_before;
+  if (new_decisions > 0) {
+    server_.decisions_.fetch_add(new_decisions, std::memory_order_relaxed);
+    metric_request_seconds().observe(
+        std::chrono::duration<double>(Clock::now() - conn->request_start).count());
+    // A finished utterance resets the per-request clock.
+    conn->request_start = Clock::now();
+    conn->deadline = conn->request_start + deadline_budget;
+    // During a drain, answer what is in flight but do not wait for the
+    // client's next utterance — unless start_drain() is still reading what
+    // the client sent before the stop, which may complete another one.
+    if (server_.stopping_.load(std::memory_order_acquire) &&
+        (!reading_sent_ || conn->session.idle())) {
+      conn->closing = true;
+    }
+  }
+  if (!alive) {
+    server_.errors_.fetch_add(1, std::memory_order_relaxed);
+    conn->closing = true;
+  }
+  update_interest(conn);
+  return flush(conn);
+}
+
+bool Server::Loop::close_with(Conn* conn, const std::vector<std::uint8_t>& frame) {
+  conn->out.insert(conn->out.end(), frame.begin(), frame.end());
+  conn->closing = true;
+  update_interest(conn);
+  return flush(conn);
+}
+
+bool Server::Loop::flush(Conn* conn) {
+  while (conn->out_off < conn->out.size()) {
+    const ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_off,
+                             conn->out.size() - conn->out_off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      conn->out_off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      update_interest(conn);  // park the rest behind write readiness
+      return true;
+    }
+    destroy(conn);  // dead peer
+    return false;
+  }
+  conn->out.clear();
+  conn->out_off = 0;
+  if (conn->closing) {
+    destroy(conn);
+    return false;
+  }
+  update_interest(conn);
+  return true;
+}
+
+void Server::Loop::update_interest(Conn* conn) {
+  std::uint32_t want = 0;
+  if (!conn->closing) want |= Poller::kRead;
+  if (conn->out_off < conn->out.size()) want |= Poller::kWrite;
+  if (want != conn->interest) {
+    poller_->modify(conn->fd, want, &conn->watch);
+    conn->interest = want;
+  }
+}
+
+void Server::Loop::expire(Conn* conn) {
+  server_.deadlines_.fetch_add(1, std::memory_order_relaxed);
+  metric_deadline_expired().increment();
+  (void)close_with(conn, encode_error(ErrorCode::kDeadlineExceeded,
+                                      "no complete request within the deadline"));
+}
+
+void Server::Loop::expire_deadlines() {
+  const auto now = Clock::now();
+  std::vector<Conn*> expired;
+  for (const auto& [id, conn] : conns_) {
+    if (!conn->closing && now >= conn->deadline) expired.push_back(conn.get());
+  }
+  for (Conn* conn : expired) expire(conn);
+}
+
+void Server::Loop::start_drain() {
+  if (drain_started_) return;
+  drain_started_ = true;
+  if (index_ == 0) {
+    if (server_.unix_fd_ >= 0) {
+      poller_->remove(server_.unix_fd_);
+      close_quietly(server_.unix_fd_);
+      server_.unix_fd_ = -1;
+    }
+    if (server_.tcp_fd_ >= 0) {
+      poller_->remove(server_.tcp_fd_);
+      close_quietly(server_.tcp_fd_);
+      server_.tcp_fd_ = -1;
+    }
+  }
+  // Read before judging idleness: every END_OF_UTTERANCE that reached the
+  // socket before the stop is owed its DECISION, even when this loop was
+  // busy scoring while it arrived. Connections left idle are told and
+  // closed now; one mid-utterance keeps its read interest and closes once
+  // its DECISION is out (bounded by its deadline).
+  std::vector<std::uint64_t> open;
+  for (const auto& [id, conn] : conns_) {
+    if (!conn->closing) open.push_back(id);
+  }
+  const auto frame = encode_error(ErrorCode::kShuttingDown, "server is draining");
+  for (const std::uint64_t id : open) {
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    Conn* conn = it->second.get();
+    reading_sent_ = true;
+    bool more = true;
+    while (more) more = read_once(conn);
+    reading_sent_ = false;
+    if (conns_.find(id) == conns_.end()) continue;  // read_once destroyed it
+    if (!conn->closing && conn->session.idle()) (void)close_with(conn, frame);
+  }
+}
+
+void Server::Loop::run_tasks() {
+  // Drain the wakeup pipe before taking the inbox: a task posted after the
+  // swap below leaves its byte behind, so the next wait wakes for it.
+  std::uint8_t buf[256];
+  while (::read(wake_pipe_[0], buf, sizeof buf) > 0) {
+  }
+  std::vector<std::function<void()>> tasks;
+  {
+    std::lock_guard<std::mutex> lock(inbox_mutex_);
+    tasks.swap(inbox_);
+  }
+  for (auto& task : tasks) task();
+}
+
+void Server::Loop::destroy(Conn* conn) {
+  poller_->remove(conn->fd);
+  close_quietly(conn->fd);
+  server_.conn_table_.erase(conn->slot->id);
+  server_.active_.fetch_sub(1, std::memory_order_relaxed);
+  metric_active().set(
+      static_cast<double>(server_.active_.load(std::memory_order_relaxed)));
+  conns_.erase(conn->slot->id);  // frees conn
+}
+
+// ---------------------------------------------------------------------------
+// Server
 
 Server::Server(const core::HeadTalkPipeline& pipeline, ServerConfig config)
     : pipeline_(pipeline), config_(std::move(config)) {}
@@ -65,29 +512,37 @@ void Server::start() {
   if (::pipe2(stop_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
     throw std::runtime_error("serve: pipe2() failed");
   }
-  unix_fd_ = make_unix_listener(config_.socket_path);
-  if (config_.tcp_port > 0) tcp_fd_ = make_tcp_listener(config_.tcp_port, config_.reuseport);
-
-  const unsigned workers = util::resolve_jobs(config_.workers);
-  workers_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  if (!config_.socket_path.empty()) {
+    unix_fd_ = make_unix_listener(config_.socket_path);
+    (void)set_nonblocking(unix_fd_);  // accept_ready() loops until EAGAIN
   }
-  acceptor_ = std::thread([this] { acceptor_loop(); });
-  obs::log_info("serve.started",
-                {{"socket", config_.socket_path.string()},
-                 {"tcp_port", config_.tcp_port},
-                 {"workers", workers},
-                 {"max_pending", static_cast<std::uint64_t>(config_.max_pending)}});
+  if (config_.tcp_port > 0) {
+    tcp_fd_ = make_tcp_listener(config_.tcp_port, config_.reuseport);
+    (void)set_nonblocking(tcp_fd_);
+  }
+
+  const unsigned loops = util::resolve_jobs(config_.workers);
+  loops_.reserve(loops);
+  for (unsigned i = 0; i < loops; ++i) {
+    loops_.push_back(std::make_unique<Loop>(*this, i));
+  }
+  for (auto& loop : loops_) loop->start();
+
+  obs::log_info(
+      "serve.started",
+      {{"socket", config_.socket_path.string()},
+       {"tcp_port", config_.tcp_port},
+       {"loops", loops},
+       {"max_connections", static_cast<std::uint64_t>(config_.max_connections)},
+       {"poller", std::string(poller_backend_name(loops_.front()->backend()))}});
 }
 
 void Server::request_stop() noexcept {
   stopping_.store(true, std::memory_order_release);
-  // One byte wakes the acceptor's poll and wait(); write() is
-  // async-signal-safe, and O_NONBLOCK means a full pipe is simply ignored.
   if (stop_pipe_[1] >= 0) {
     [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], "x", 1);
   }
+  for (auto& loop : loops_) loop->wake();
 }
 
 void Server::wait() {
@@ -103,38 +558,23 @@ void Server::stop() {
   if (!started_.load(std::memory_order_acquire)) return;
   std::call_once(stop_once_, [this] {
     request_stop();
-    if (acceptor_.joinable()) acceptor_.join();
-    // Wake every worker; they drain the queue, then exit on the stop flag.
-    queue_ready_.notify_all();
-    for (auto& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-    // Connections that were queued after the last worker exited (the
-    // acceptor may have raced the drain): reject them explicitly.
-    std::deque<int> leftover;
-    {
-      std::lock_guard lock(queue_mutex_);
-      leftover.swap(pending_);
-    }
-    const auto shutting_down =
-        encode_error(ErrorCode::kShuttingDown, "server is shutting down");
-    for (int fd : leftover) send_and_close(fd, shutting_down);
-
+    for (auto& loop : loops_) loop->join();
     close_quietly(stop_pipe_[0]);
     close_quietly(stop_pipe_[1]);
     stop_pipe_[0] = stop_pipe_[1] = -1;
-    std::error_code ec;
-    std::filesystem::remove(config_.socket_path, ec);
+    close_quietly(unix_fd_);
+    close_quietly(tcp_fd_);
+    unix_fd_ = tcp_fd_ = -1;
+    if (!config_.socket_path.empty()) {
+      std::error_code ec;
+      std::filesystem::remove(config_.socket_path, ec);
+    }
     stopped_.store(true, std::memory_order_release);
     obs::log_info("serve.stopped",
                   {{"connections", accepted_.load()},
                    {"decisions", decisions_.load()},
                    {"busy_rejections", busy_.load()}});
   });
-}
-
-std::vector<ConnectionInfo> Server::connections() const {
-  return conn_table_.snapshot();
 }
 
 ServerStats Server::stats() const {
@@ -148,206 +588,49 @@ ServerStats Server::stats() const {
   return out;
 }
 
+std::vector<ConnectionInfo> Server::connections() const {
+  return conn_table_.snapshot();
+}
+
 void Server::adopt_connection(int fd) {
   if (fd < 0) return;
-  if (!running() || stopping_.load(std::memory_order_acquire)) {
+  if (!running()) {
     send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
     return;
   }
-  // The worker I/O model is blocking-with-timeout; fds handed over from a
-  // nonblocking front must shed O_NONBLOCK.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-  if (try_enqueue(fd)) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    metric_connections().increment();
-  } else {
+  // fds arriving over SCM_RIGHTS kept the sender's flags; the reactor
+  // needs them nonblocking.
+  (void)set_nonblocking(fd);
+  dispatch_fd(fd);
+}
+
+void Server::run_on_each_loop(const std::function<void()>& task) {
+  for (auto& loop : loops_) (void)loop->post(task);
+}
+
+void Server::dispatch_fd(int fd) {
+  if (stopping_.load(std::memory_order_acquire)) {
+    send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
+    return;
+  }
+  if (active_.load(std::memory_order_relaxed) >= config_.max_connections) {
     busy_.fetch_add(1, std::memory_order_relaxed);
     metric_busy().increment();
     send_and_close(fd, encode_busy());
+    return;
   }
-}
-
-void Server::acceptor_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[3];
-    nfds_t count = 0;
-    fds[count++] = {stop_pipe_[0], POLLIN, 0};
-    fds[count++] = {unix_fd_, POLLIN, 0};
-    if (tcp_fd_ >= 0) fds[count++] = {tcp_fd_, POLLIN, 0};
-    const int ready = ::poll(fds, count, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[0].revents != 0) break;  // stop requested
-    for (nfds_t i = 1; i < count; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int client = ::accept4(fds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
-      if (client < 0) continue;
-      if (stopping_.load(std::memory_order_acquire)) {
-        send_and_close(client,
-                       encode_error(ErrorCode::kShuttingDown, "server is draining"));
-        continue;
-      }
-      if (try_enqueue(client)) {
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        metric_connections().increment();
-      } else {
-        busy_.fetch_add(1, std::memory_order_relaxed);
-        metric_busy().increment();
-        send_and_close(client, encode_busy());
-      }
-    }
-  }
-  // Stop accepting: new connects now fail instead of queueing invisibly.
-  close_quietly(unix_fd_);
-  close_quietly(tcp_fd_);
-  unix_fd_ = tcp_fd_ = -1;
-}
-
-bool Server::try_enqueue(int fd) {
-  std::size_t depth = 0;
-  {
-    std::lock_guard lock(queue_mutex_);
-    if (pending_.size() >= config_.max_pending) return false;
-    pending_.push_back(fd);
-    depth = pending_.size();
-  }
-  metric_queue_depth().observe(static_cast<double>(depth));
-  queue_ready_.notify_one();
-  return true;
-}
-
-int Server::pop_connection() {
-  std::unique_lock lock(queue_mutex_);
-  queue_ready_.wait(lock, [this] {
-    return !pending_.empty() || stopping_.load(std::memory_order_acquire);
-  });
-  if (pending_.empty()) return -1;  // stopping and fully drained
-  const int fd = pending_.front();
-  pending_.pop_front();
-  return fd;
-}
-
-void Server::worker_loop() {
-  // One workspace per worker thread, reused across every connection this
-  // worker handles: after the first utterance the scoring scratch and the
-  // cached FFT plans are warm for the rest of the worker's lifetime.
-  core::ScoringWorkspace workspace;
-  while (true) {
-    const int fd = pop_connection();
-    if (fd < 0) return;
-    active_.fetch_add(1, std::memory_order_relaxed);
-    metric_active().set(static_cast<double>(active_.load(std::memory_order_relaxed)));
-    handle_connection(fd, workspace);
+  active_.fetch_add(1, std::memory_order_relaxed);
+  metric_active().set(static_cast<double>(active_.load(std::memory_order_relaxed)));
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  metric_connections().increment();
+  const std::size_t target =
+      next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
+  Loop* loop = loops_[target].get();
+  if (!loop->post([loop, fd] { loop->make_conn(fd); })) {
+    // The loop exited under us (stop race): reject like the drain path.
     active_.fetch_sub(1, std::memory_order_relaxed);
-    metric_active().set(static_cast<double>(active_.load(std::memory_order_relaxed)));
+    send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
   }
-}
-
-void Server::handle_connection(int fd, core::ScoringWorkspace& workspace) {
-  Session session(pipeline_, config_.session);
-  session.set_workspace(&workspace);
-  const auto deadline_budget = std::chrono::milliseconds(config_.request_deadline_ms);
-  Clock::time_point request_start = Clock::now();
-  Clock::time_point deadline = request_start + deadline_budget;
-
-  // Register this connection's row in the shared admin table. The worker
-  // updates the row's atomics lock-free on every read; the table mutex is
-  // touched only here and at teardown.
-  auto slot = conn_table_.insert();
-  slot->accepted_at = request_start;
-  slot->touch();
-  struct SlotEraser {
-    ConnectionTable* table;
-    std::uint64_t id;
-    ~SlotEraser() { table->erase(id); }
-  } eraser{&conn_table_, slot->id};
-
-  std::uint8_t buffer[1 << 16];
-  // Watch the stop pipe alongside the client so a drain is not held hostage
-  // by an idle connection waiting out its deadline. Once a drain is seen
-  // with an utterance in flight we stop watching (the pipe stays readable)
-  // and finish that utterance, bounded by the deadline.
-  bool watch_stop = true;
-
-  while (true) {
-    const auto now = Clock::now();
-    if (now >= deadline) {
-      deadlines_.fetch_add(1, std::memory_order_relaxed);
-      metric_deadline_expired().increment();
-      const auto frame = encode_error(ErrorCode::kDeadlineExceeded,
-                                      "no complete request within the deadline");
-      (void)send_all(fd, frame.data(), frame.size());
-      break;
-    }
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    pollfd pfds[2] = {{fd, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-    const nfds_t pfd_count = watch_stop ? 2 : 1;
-    const int ready = ::poll(pfds, pfd_count, static_cast<int>(remaining.count()) + 1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;  // deadline handled at the top of the loop
-    if (pfd_count == 2 && pfds[1].revents != 0 && (pfds[0].revents & POLLIN) == 0) {
-      // Drain requested and the client has nothing pending right now.
-      if (session.idle()) {
-        const auto frame =
-            encode_error(ErrorCode::kShuttingDown, "server is draining");
-        (void)send_all(fd, frame.data(), frame.size());
-        break;
-      }
-      watch_stop = false;
-      continue;
-    }
-    if ((pfds[0].revents & POLLIN) == 0) continue;
-
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-    if (n == 0) break;  // client closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-
-    slot->touch();
-
-    const std::size_t decisions_before = session.decisions_sent();
-    const bool alive = session.on_bytes(buffer, static_cast<std::size_t>(n));
-    const auto output = session.take_output();
-    if (!output.empty() && !send_all(fd, output.data(), output.size())) break;
-    slot->stream_mode.store(session.stream_mode(), std::memory_order_relaxed);
-    slot->decisions.store(session.decisions_sent(), std::memory_order_relaxed);
-
-    if (session.stream_mode()) {
-      // Auto-endpoint streaming: the server owns segmentation, so there is
-      // no "complete request" for the deadline to bound — a quiet room
-      // produces no decisions for minutes. Received audio proves the client
-      // is alive; the deadline degrades to a max inter-chunk silence.
-      request_start = Clock::now();
-      deadline = request_start + deadline_budget;
-    }
-
-    const std::size_t new_decisions = session.decisions_sent() - decisions_before;
-    if (new_decisions > 0) {
-      decisions_.fetch_add(new_decisions, std::memory_order_relaxed);
-      metric_request_seconds().observe(
-          std::chrono::duration<double>(Clock::now() - request_start).count());
-      // A finished utterance resets the per-request clock.
-      request_start = Clock::now();
-      deadline = request_start + deadline_budget;
-      // During a drain, finish the utterance that is in flight but do not
-      // wait for the client's next one.
-      if (stopping_.load(std::memory_order_acquire)) break;
-    }
-    if (!alive) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-  }
-  close_quietly(fd);
 }
 
 }  // namespace headtalk::serve

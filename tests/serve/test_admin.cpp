@@ -1,6 +1,6 @@
 // Admin/telemetry plane (serve/admin.h): routing, the live HTTP loop over
 // Unix and TCP listeners, /proc self-stats, the /readyz drain flip against
-// a real serve::Server, and the deadline counter both engines export.
+// a real serve::Server, and the deadline counter the server exports.
 #include "serve/admin.h"
 
 #include <unistd.h>
@@ -14,7 +14,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
-#include "serve/eventloop/eventloop_server.h"
 #include "serve/server.h"
 #include "serve_test_util.h"
 #include "util/json.h"
@@ -199,41 +198,39 @@ std::uint64_t exported_deadline_expirations(AdminServer& admin) {
   return it == snapshot.counters.end() ? 0 : it->second;
 }
 
-/// Opens one connection to `engine`, says HELLO, then stays silent until
-/// the engine's deadline answers it.
-void wait_out_one_deadline(ServerEngine& engine, const std::filesystem::path& socket) {
-  engine.start();
+/// Opens one connection to `server`, says HELLO, then stays silent until
+/// the server's deadline answers it.
+void wait_out_one_deadline(Server& server, const std::filesystem::path& socket) {
+  server.start();
   auto client = BlockingClient::connect_unix(socket);
   (void)client.hello();
   const Frame reply = client.read_frame(5000);
   EXPECT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(parse_error(reply).code, ErrorCode::kDeadlineExceeded);
-  engine.stop();
-  EXPECT_EQ(engine.stats().deadline_expirations, 1u);
+  server.stop();
+  EXPECT_EQ(server.stats().deadline_expirations, 1u);
 }
 
 TEST(AdminServerTest, MetricsJsonCountsDeadlineExpirationsOfBothEngines) {
   // Operators read deadline expiries from the metrics plane, not from
-  // client ERROR frames: each engine bumps serve.deadline_expired where it
-  // counts ServerStats::deadline_expirations.
+  // client ERROR frames: the server bumps serve.deadline_expired where it
+  // counts ServerStats::deadline_expirations, with one loop and with
+  // several.
   const core::HeadTalkPipeline pipeline = serve_test::make_test_pipeline();
   AdminServer admin(AdminConfig{temp_socket("deadline_admin"), 0, 2000});
   const std::uint64_t before = exported_deadline_expirations(admin);
 
-  ServerConfig config;
-  config.socket_path = temp_socket("deadline_threaded");
-  config.workers = 1;
-  config.request_deadline_ms = 100;
-  Server threaded(pipeline, config);
-  wait_out_one_deadline(threaded, config.socket_path);
-  EXPECT_EQ(exported_deadline_expirations(admin), before + 1);
-
-  EventLoopConfig loop_config;
-  loop_config.base = config;
-  loop_config.base.socket_path = temp_socket("deadline_eventloop");
-  EventLoopServer event_loop(pipeline, loop_config);
-  wait_out_one_deadline(event_loop, loop_config.base.socket_path);
-  EXPECT_EQ(exported_deadline_expirations(admin), before + 2);
+  std::uint64_t expected = before;
+  for (const unsigned loops : {1u, 4u}) {
+    SCOPED_TRACE("loops " + std::to_string(loops));
+    ServerConfig config;
+    config.socket_path = temp_socket("deadline_server");
+    config.workers = loops;
+    config.request_deadline_ms = 100;
+    Server server(pipeline, config);
+    wait_out_one_deadline(server, config.socket_path);
+    EXPECT_EQ(exported_deadline_expirations(admin), ++expected);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end daemon tests over real Unix sockets: concurrent-client
 // stress (every client gets exactly one well-formed DECISION), BUSY
-// backpressure when the pending queue is full, graceful drain that still
-// answers the in-flight utterance, and per-utterance deadline expiry.
+// backpressure at the connection cap, graceful drain that still answers
+// the in-flight utterance, and per-utterance deadline expiry.
 #include "serve/server.h"
 
 #include <unistd.h>
@@ -55,7 +55,6 @@ bool eventually(Predicate predicate) {
 TEST(ServeServer, StressManyConcurrentClientsOneDecisionEach) {
   constexpr unsigned kClients = 64;
   ServerConfig config = normal_mode_config("stress");
-  config.max_pending = 2 * kClients;
   Server server(test_pipeline(), config);
   server.start();
 
@@ -90,7 +89,7 @@ TEST(ServeServer, StressManyConcurrentClientsOneDecisionEach) {
     EXPECT_EQ(failures[i], "") << "client " << i;
   }
   EXPECT_EQ(decisions.load(), kClients);
-  server.stop();  // joins the workers, so the counters below are final
+  server.stop();  // joins the loops, so the counters below are final
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.decisions, kClients);
   EXPECT_EQ(stats.connections_accepted, kClients);
@@ -100,32 +99,34 @@ TEST(ServeServer, StressManyConcurrentClientsOneDecisionEach) {
 TEST(ServeServer, BusyWhenPendingQueueFull) {
   ServerConfig config = normal_mode_config("busy");
   config.workers = 1;
-  config.max_pending = 1;
+  config.max_connections = 2;
   Server server(test_pipeline(), config);
   server.start();
 
-  // A occupies the only worker (handshake done means the worker popped it).
+  // A and B fill both connection slots.
   auto a = BlockingClient::connect_unix(config.socket_path);
   (void)a.hello();
-  ASSERT_TRUE(eventually([&] { return server.stats().active_connections == 1; }));
-
-  // B fills the single pending slot.
   auto b = BlockingClient::connect_unix(config.socket_path);
-  ASSERT_TRUE(eventually([&] { return server.stats().connections_accepted == 2; }));
+  (void)b.hello();
+  ASSERT_TRUE(eventually([&] { return server.stats().active_connections == 2; }));
 
-  // C overflows: the acceptor answers BUSY and closes without a worker.
+  // C overflows: answered BUSY and closed without a session.
   auto c = BlockingClient::connect_unix(config.socket_path);
   const Frame reply = c.read_frame(5000);
   EXPECT_EQ(reply.type, FrameType::kBusy);
   EXPECT_TRUE(eventually([&] { return server.stats().busy_rejections == 1; }));
 
-  // Releasing A lets the worker serve B: overload was a fast reject for C
-  // only, not a dropped or wedged B.
-  a.close();
-  (void)b.hello();
+  // Overload was a fast reject for C only, not a dropped or wedged B; and
+  // once A leaves, its slot serves a new connection again.
   const auto capture = serve_test::make_capture(4, 512);
-  const DecisionFrame decision = b.score(capture);
-  EXPECT_EQ(decision.decision, static_cast<std::uint8_t>(core::Decision::kAccepted));
+  EXPECT_EQ(b.score(capture).decision,
+            static_cast<std::uint8_t>(core::Decision::kAccepted));
+  a.close();
+  ASSERT_TRUE(eventually([&] { return server.stats().active_connections == 1; }));
+  auto d = BlockingClient::connect_unix(config.socket_path);
+  (void)d.hello();
+  EXPECT_EQ(d.score(capture).decision,
+            static_cast<std::uint8_t>(core::Decision::kAccepted));
   server.stop();
   EXPECT_EQ(server.stats().busy_rejections, 1u);
 }
@@ -198,11 +199,13 @@ TEST(ServeServer, MalformedBytesGetErrorFrame) {
 }
 
 TEST(ServeServer, HeadTalkModeScoresConcurrently) {
-  // Full-DSP scoring from several clients at once: exercises the shared
-  // const pipeline under real concurrency (the TSan target for this file).
+  // Full-DSP scoring from several clients at once, spread over several
+  // loops: exercises the shared const pipeline under real concurrency (the
+  // TSan target for this file).
   constexpr unsigned kClients = 8;
   ServerConfig config;
   config.socket_path = test_socket_path("headtalk");
+  config.workers = 4;
   config.request_deadline_ms = 120000;  // scoring on a loaded 1-CPU host
   Server server(test_pipeline(), config);
   server.start();
@@ -259,6 +262,7 @@ TEST(ServeServer, StopIsIdempotentAndRestartFails) {
   server.stop();
   server.stop();  // second call is a no-op
   EXPECT_FALSE(server.running());
+  EXPECT_THROW(server.start(), std::runtime_error);
 }
 
 }  // namespace

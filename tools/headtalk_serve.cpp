@@ -2,40 +2,33 @@
 //
 //   headtalk_serve --models models --socket /tmp/headtalk.sock
 //   headtalk_serve --models models --socket /tmp/headtalk.sock
-//       --tcp-port 7071 --jobs 4 --max-pending 128 --deadline-ms 5000
+//       --tcp-port 7071 --jobs 4 --deadline-ms 5000
 //       --admin-socket /tmp/headtalk-admin.sock --admin-port 7072
 //   headtalk_serve --models models --socket /tmp/headtalk.sock
-//       --engine eventloop --loops 2 --jobs 4
-//   headtalk_serve --models models --socket /tmp/headtalk.sock
-//       --engine eventloop --shards 2 --tcp-port 7071
-//       --admin-socket /tmp/headtalk-admin.sock
+//       --shards 2 --tcp-port 7071 --admin-socket /tmp/headtalk-admin.sock
 //
 // Loads the persisted orientation + liveness models once, then scores
 // streamed multichannel captures for any number of concurrent clients over
 // a Unix-domain socket (and, with --tcp-port, a 127.0.0.1 TCP listener).
-// Overload is answered with BUSY frames; SIGINT/SIGTERM trigger a graceful
-// drain — queued and in-flight utterances still get their DECISIONs.
+// The serving core (serve/server.h) is an epoll reactor of --jobs loop
+// threads; each loop multiplexes its share of the nonblocking connections
+// and scores their utterances inline, so --jobs is the number of threads
+// that score. Past --max-connections a new connection is answered with a
+// BUSY frame; SIGINT/SIGTERM trigger a graceful drain — utterances the
+// clients already sent still get their DECISIONs.
 //
-// --engine picks the serving core: `threaded` (thread-per-connection,
-// serve/server.h) or `eventloop` (epoll reactor + a scoring pool,
-// serve/eventloop/). Both speak the same protocol with the same semantics;
-// the event loop holds thousands of concurrent connections on --loops
-// reactor threads and scores each utterance on its own as one FIFO task
-// of a --jobs-thread scoring pool. Under either engine --jobs is the
-// number of threads that score.
-//
-// --shards N (eventloop only) forks N serve processes before any threads
-// exist. Each shard binds the TCP port with SO_REUSEPORT (the kernel
-// spreads accepts across them) and runs its own admin plane at
-// --admin-socket + ".shard<k>"; the parent keeps the public Unix socket
-// and deals those connections to the shards over SCM_RIGHTS fd passing.
-// Merge the per-shard metrics with `headtalk_client --admin-merge`.
+// --shards N forks N serve processes before any threads exist. Each shard
+// binds the TCP port with SO_REUSEPORT (the kernel spreads accepts across
+// them) and runs its own admin plane at --admin-socket + ".shard<k>"; the
+// parent keeps the public Unix socket and deals those connections to the
+// shards over SCM_RIGHTS fd passing. Merge the per-shard metrics with
+// `headtalk_client --admin-merge`.
 //
 // With --admin-socket/--admin-port a second listener serves the live
 // telemetry plane (serve/admin.h): GET /metrics (Prometheus text),
 // /metrics.json (mergeable snapshot), /healthz, /readyz (503 while
 // draining), /stats.json (uptime, rss/fd/cpu, per-connection table, slow-
-// utterance exemplars). Scoring threads are never involved in a scrape.
+// utterance exemplars). The serving loops are never involved in a scrape.
 //
 // With --store DIR the daemon serves tenant-scoped: clients AUTH as an
 // enrolled tenant and every decision passes through that tenant's policy
@@ -65,8 +58,6 @@
 #include "obs/log.h"
 #include "room/mic_array.h"
 #include "serve/admin.h"
-#include "serve/engine.h"
-#include "serve/eventloop/eventloop_server.h"
 #include "serve/eventloop/shard.h"
 #include "serve/listener.h"
 #include "serve/server.h"
@@ -76,7 +67,7 @@ using namespace headtalk;
 
 namespace {
 
-serve::ServerEngine* g_server = nullptr;
+serve::Server* g_server = nullptr;
 std::atomic<bool> g_reload_requested{false};
 
 // Shard-parent state the forwarding signal handler reads.
@@ -119,10 +110,6 @@ core::VaMode parse_mode(const std::string& text) {
 struct ServeOptions {
   std::filesystem::path models_dir;
   serve::ServerConfig config;
-  std::string engine = "threaded";
-  std::size_t loops = 1;
-  std::size_t max_connections = 4096;
-  serve::PollerBackend poller = serve::PollerBackend::kAuto;
   std::size_t shards = 1;
   std::string store_dir;
   std::size_t max_metric_tenants = 32;
@@ -138,14 +125,12 @@ ServeOptions parse_options(const cli::ArgParser& args) {
   opt.config.socket_path = args.get("--socket");
   opt.config.tcp_port = static_cast<int>(args.get_int("--tcp-port"));
   opt.config.workers = cli::jobs_from(args);
-  opt.config.max_pending = static_cast<std::size_t>(args.get_int("--max-pending"));
   opt.config.request_deadline_ms = static_cast<int>(args.get_int("--deadline-ms"));
   opt.mode_name = args.get("--mode");
   opt.config.session.mode = parse_mode(opt.mode_name);
-  opt.engine = args.get("--engine");
-  opt.loops = static_cast<std::size_t>(args.get_int("--loops"));
-  opt.max_connections = static_cast<std::size_t>(args.get_int("--max-connections"));
-  opt.poller = serve::parse_poller_backend(args.get("--poller"));
+  opt.config.max_connections =
+      static_cast<std::size_t>(args.get_int("--max-connections"));
+  opt.config.poller = serve::parse_poller_backend(args.get("--poller"));
   opt.shards = static_cast<std::size_t>(args.get_int("--shards"));
   opt.store_dir = args.get("--store");
   opt.max_metric_tenants =
@@ -154,21 +139,14 @@ ServeOptions parse_options(const cli::ArgParser& args) {
   opt.admin_port = static_cast<int>(args.get_int("--admin-port"));
   opt.device = cli::parse_device(args.get("--device"));
 
-  if (opt.config.max_pending == 0 || opt.config.request_deadline_ms <= 0) {
-    throw cli::ArgsError("--max-pending and --deadline-ms must be positive");
-  }
-  if (opt.engine != "threaded" && opt.engine != "eventloop") {
-    throw cli::ArgsError("--engine: expected threaded|eventloop, got '" +
-                         opt.engine + "'");
+  if (opt.config.request_deadline_ms <= 0) {
+    throw cli::ArgsError("--deadline-ms must be positive");
   }
   if (opt.shards < 1 || opt.shards > 64) {
     throw cli::ArgsError("--shards: expected 1..64");
   }
-  if (opt.shards > 1 && opt.engine != "eventloop") {
-    throw cli::ArgsError("--shards > 1 requires --engine eventloop");
-  }
-  if (opt.loops < 1 || opt.max_connections < 1) {
-    throw cli::ArgsError("--loops and --max-connections must be >= 1");
+  if (opt.config.max_connections < 1) {
+    throw cli::ArgsError("--max-connections must be >= 1");
   }
   return opt;
 }
@@ -206,34 +184,24 @@ int run_server(const ServeOptions& options, int shard_index, int channel_fd) {
                 static_cast<unsigned long long>(tenants->generation()));
   }
 
-  std::unique_ptr<serve::ServerEngine> engine;
-  if (options.engine == "eventloop") {
-    serve::EventLoopConfig ec;
-    ec.base = config;
-    if (sharded) {
-      // The parent front owns the public unix socket; shards serve only
-      // adopted fds plus their SO_REUSEPORT TCP listener.
-      ec.base.socket_path.clear();
-      ec.reuseport = ec.base.tcp_port > 0;
-    }
-    ec.loops = options.loops;
-    ec.max_connections = options.max_connections;
-    ec.poller = options.poller;
-    engine = std::make_unique<serve::EventLoopServer>(pipeline, ec);
-  } else {
-    engine = std::make_unique<serve::Server>(pipeline, config);
+  if (sharded) {
+    // The parent front owns the public unix socket; shards serve only
+    // adopted fds plus their SO_REUSEPORT TCP listener.
+    config.socket_path.clear();
+    config.reuseport = config.tcp_port > 0;
   }
+  serve::Server server(pipeline, config);
 
-  g_server = engine.get();
+  g_server = &server;
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
   if (tenants) std::signal(SIGHUP, handle_reload_signal);
 
-  engine->start();
+  server.start();
 
   std::unique_ptr<serve::ShardFdReceiver> receiver;
   if (channel_fd >= 0) {
-    receiver = std::make_unique<serve::ShardFdReceiver>(channel_fd, *engine);
+    receiver = std::make_unique<serve::ShardFdReceiver>(channel_fd, server);
     receiver->start();
   }
 
@@ -270,16 +238,13 @@ int run_server(const ServeOptions& options, int shard_index, int channel_fd) {
   }
   std::unique_ptr<serve::AdminServer> admin;
   if (!admin_config.socket_path.empty() || admin_config.tcp_port > 0) {
-    serve::ServerEngine* server = engine.get();
     serve::AdminHooks hooks;
-    hooks.ready = [server] { return server->running() && !server->draining(); };
-    hooks.connections = [server] { return server->connections(); };
-    hooks.extra_stats = [server, mode = options.mode_name, engine_name = options.engine,
-                         shard_index] {
-      const serve::ServerStats stats = server->stats();
+    hooks.ready = [&server] { return server.running() && !server.draining(); };
+    hooks.connections = [&server] { return server.connections(); };
+    hooks.extra_stats = [&server, mode = options.mode_name, shard_index] {
+      const serve::ServerStats stats = server.stats();
       std::ostringstream extra;
-      extra << "\"mode\":\"" << mode << "\",\"engine\":\"" << engine_name
-            << "\",\"decisions\":" << stats.decisions
+      extra << "\"mode\":\"" << mode << "\",\"decisions\":" << stats.decisions
             << ",\"busy_rejections\":" << stats.busy_rejections
             << ",\"connections_accepted\":" << stats.connections_accepted;
       if (shard_index >= 0) extra << ",\"shard\":" << shard_index;
@@ -300,14 +265,13 @@ int run_server(const ServeOptions& options, int shard_index, int channel_fd) {
                     : "");
   }
 
-  std::printf("%s: %s engine listening on %s%s — SIGINT/SIGTERM to stop\n",
-              tag.c_str(), options.engine.c_str(),
+  std::printf("%s: listening on %s%s — SIGINT/SIGTERM to stop\n", tag.c_str(),
               sharded ? "(fd-passing front)" : config.socket_path.string().c_str(),
               config.tcp_port > 0
                   ? (" and 127.0.0.1:" + std::to_string(config.tcp_port)).c_str()
                   : "");
   std::fflush(stdout);
-  engine->wait();
+  server.wait();
   if (receiver) receiver->stop();
   if (reload_thread.joinable()) {
     reload_thread_stop.store(true, std::memory_order_release);
@@ -317,7 +281,7 @@ int run_server(const ServeOptions& options, int shard_index, int channel_fd) {
   // summary below is assembled, then shut the admin plane down.
   if (admin) admin->stop();
 
-  const serve::ServerStats stats = engine->stats();
+  const serve::ServerStats stats = server.stats();
   g_server = nullptr;
   std::printf(
       "%s: drained — %llu connections, %llu decisions, "
@@ -430,18 +394,14 @@ int main(int argc, char** argv) {
   args.add_flag("--models", "directory containing orientation.htm / liveness.htm");
   args.add_flag("--socket", "Unix-domain socket path to listen on");
   args.add_flag("--tcp-port", "also listen on 127.0.0.1:<port> (0 = off)", "0");
-  args.add_flag("--max-pending", "accepted connections allowed to queue", "64");
   args.add_flag("--deadline-ms", "per-utterance deadline in milliseconds", "10000");
   args.add_flag("--mode", "scoring mode: normal|headtalk", "headtalk");
   args.add_flag("--device", "device the captures come from (aperture): D1|D2|D3", "D2");
-  args.add_flag("--engine", "serving core: threaded|eventloop", "threaded");
-  args.add_flag("--loops", "event-loop reactor threads (eventloop engine)", "1");
-  args.add_flag("--max-connections",
-                "concurrent connections before BUSY (eventloop engine)", "4096");
+  args.add_flag("--max-connections", "concurrent connections before BUSY", "4096");
   args.add_flag("--poller", "readiness backend: auto|epoll|poll", "auto");
   args.add_flag("--shards",
                 "serve processes sharing the port via SO_REUSEPORT + a "
-                "fd-passing unix front (eventloop engine)",
+                "fd-passing unix front",
                 "1");
   args.add_flag("--admin-socket",
                 "Unix-domain socket for the admin/metrics plane (off if empty)", "");
@@ -466,7 +426,7 @@ int main(int argc, char** argv) {
     }
     const ServeOptions options = parse_options(args);
     if (options.shards > 1) {
-      // Fork BEFORE creating any threads (ObsSession and the engines both
+      // Fork BEFORE creating any threads (ObsSession and the server both
       // spawn them); each child builds its own pipeline and obs session.
       return run_sharded(options);
     }

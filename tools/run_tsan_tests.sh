@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Builds the suite with ThreadSanitizer and runs the concurrency-relevant
 # tests (thread pool, the shared FFT plan cache, sim harness incl. the
-# FeatureCache stress test, the serve daemon's multi-client stress under
-# both engines — thread-per-connection and the event-loop reactor, whose
-# scoring pool hands each verdict back to the owning loop across threads
-# (ServeEventLoop covers that completion path with one scorer and with
-# several) — and the integration pipeline), so the parallel collection
-# engine and the inference server stay race-clean. Usage:
+# FeatureCache stress test, the serve daemon's multi-client stress —
+# several reactor loops scoring their connections' utterances concurrently
+# on one shared pipeline, fds dealt across loops, the admin plane reading
+# the connection table (ServeServer and ServeEventLoop run with one loop
+# and with several) — and the integration pipeline), so the parallel
+# collection engine and the inference server stay race-clean. Usage:
 #
 #   tools/run_tsan_tests.sh [build-dir]     # default: build-tsan
 #
