@@ -6,6 +6,9 @@
 // plus client-observed p50/p95/p99 latency. The perf record gains the
 // same four numbers (rps, p50_seconds, p95_seconds, p99_seconds), so CI
 // tracks serving regressions exactly like collection-cost regressions.
+// It also records hello_p95_seconds, connect + HELLO until HELLO_OK: a
+// server that admits fewer connections than it holds makes the rest wait
+// there, outside the per-utterance latencies.
 //
 // A second phase repeats the run with the admin plane attached and a
 // scraper thread polling GET /metrics, answering "does being observed
@@ -84,6 +87,9 @@ core::LivenessDetector make_liveness() {
 
 struct PhaseResult {
   std::vector<double> latencies;  ///< sorted, client-observed per-utterance
+  /// Sorted, per client: connect + HELLO until HELLO_OK, the wait before
+  /// the server takes a connection on.
+  std::vector<double> hello_latencies;
   double wall = 0.0;
   std::uint64_t decisions = 0;
   bool ok = false;
@@ -97,6 +103,7 @@ PhaseResult run_clients(serve::Server& server, const std::filesystem::path& sock
                         unsigned utterances) {
   PhaseResult result;
   std::vector<std::vector<double>> latencies(clients);
+  std::vector<double> hello_latencies(clients, 0.0);
   std::vector<std::string> failures(clients);
   const std::uint64_t decisions_before = server.stats().decisions;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -106,11 +113,15 @@ PhaseResult run_clients(serve::Server& server, const std::filesystem::path& sock
     for (unsigned i = 0; i < clients; ++i) {
       threads.emplace_back([&, i] {
         try {
+          const auto connect_start = std::chrono::steady_clock::now();
           auto client = serve::BlockingClient::connect_unix(socket_path);
           serve::Hello hello;
           hello.sample_rate_hz = static_cast<std::uint32_t>(capture.sample_rate());
           hello.channels = static_cast<std::uint16_t>(capture.channel_count());
           (void)client.hello(hello);
+          hello_latencies[i] = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - connect_start)
+                                   .count();
           for (unsigned u = 0; u < utterances; ++u) {
             const auto start = std::chrono::steady_clock::now();
             (void)client.score(capture);
@@ -133,6 +144,8 @@ PhaseResult run_clients(serve::Server& server, const std::filesystem::path& sock
                             per_client.end());
   }
   std::sort(result.latencies.begin(), result.latencies.end());
+  result.hello_latencies = std::move(hello_latencies);
+  std::sort(result.hello_latencies.begin(), result.hello_latencies.end());
   bool failed = false;
   for (unsigned i = 0; i < clients; ++i) {
     if (!failures[i].empty()) {
@@ -220,12 +233,13 @@ int main() {
   const double p50 = sorted_quantile(plain.latencies, 0.50);
   const double p95 = sorted_quantile(plain.latencies, 0.95);
   const double p99 = sorted_quantile(plain.latencies, 0.99);
+  const double hello_p95 = sorted_quantile(plain.hello_latencies, 0.95);
 
   std::printf("clients %u  utterances/client %u  workers auto\n", clients, utterances);
   std::printf("decisions %llu  wall %.2f s  RPS %.2f\n",
               static_cast<unsigned long long>(plain.decisions), plain.wall, rps);
-  std::printf("latency p50 %.1f ms  p95 %.1f ms  p99 %.1f ms\n", 1000.0 * p50,
-              1000.0 * p95, 1000.0 * p99);
+  std::printf("latency p50 %.1f ms  p95 %.1f ms  p99 %.1f ms  hello p95 %.1f ms\n",
+              1000.0 * p50, 1000.0 * p95, 1000.0 * p99, 1000.0 * hello_p95);
   bench::print_note(
       "closed-loop clients over a Unix socket; latency includes framing, the\n"
       "wait behind the loop's other connections, and the full score path per\n"
@@ -296,6 +310,7 @@ int main() {
   bench::PerfRecorder::instance().set_metric("p50_seconds", p50);
   bench::PerfRecorder::instance().set_metric("p95_seconds", p95);
   bench::PerfRecorder::instance().set_metric("p99_seconds", p99);
+  bench::PerfRecorder::instance().set_metric("hello_p95_seconds", hello_p95);
   bench::PerfRecorder::instance().set_metric("rps_with_scraper", rps_with_scraper);
   bench::PerfRecorder::instance().set_metric(
       "admin_scrapes", static_cast<double>(scrape_seconds.size()));

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,7 +65,7 @@ obs::Histogram& metric_loop_dispatch_seconds() {
 
 class Server::Loop {
  public:
-  Loop(Server& server, std::size_t index) : server_(server), index_(index) {
+  explicit Loop(Server& server) : server_(server) {
     if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
       throw std::runtime_error("serve: pipe2() failed for loop wakeup");
     }
@@ -104,6 +105,10 @@ class Server::Loop {
   /// Construct-and-register for a dispatched fd; runs on the loop thread.
   void make_conn(int fd);
 
+  /// Connections dealt to this loop and not yet closed. Counted at
+  /// dispatch, so fds still queued in the inbox weigh in at once.
+  std::atomic<std::size_t> live{0};
+
   /// The resolved poller backend (kAuto settled to a concrete one).
   [[nodiscard]] PollerBackend backend() const noexcept { return poller_->backend(); }
 
@@ -126,6 +131,9 @@ class Server::Loop {
     std::size_t out_off = 0;
     Clock::time_point request_start{};
     Clock::time_point deadline{};
+    /// Bytes the client sent before the drain that start_drain() has yet
+    /// to read; 0 outside a drain.
+    std::size_t drain_budget = 0;
     std::uint32_t interest = 0;  ///< currently registered poller mask
     bool closing = false;        ///< close once `out` drains
   };
@@ -134,10 +142,11 @@ class Server::Loop {
   void dispatch(const PollerEvent& event);
   void accept_ready(int listener_fd);
   void on_conn_event(Conn* conn, const PollerEvent& event);
-  /// Expires the conn if its deadline has passed; otherwise reads once and
-  /// feeds the bytes to the session (scoring any END_OF_UTTERANCE inline).
-  /// True when the conn is still open for reading and more bytes may be
-  /// pending. May destroy `conn`.
+  /// Expires the conn if its deadline has passed; otherwise reads once (at
+  /// most its drain_budget, when one is set) and feeds the bytes to the
+  /// session (scoring any END_OF_UTTERANCE inline). True when the conn is
+  /// still open for reading and more bytes may be pending. May destroy
+  /// `conn`.
   bool read_once(Conn* conn);
   /// Common post-Session bookkeeping: output, counters, deadline resets,
   /// drain close, interest update, flush. False when `conn` was destroyed.
@@ -158,7 +167,6 @@ class Server::Loop {
   [[nodiscard]] int poll_timeout_ms() const;
 
   Server& server_;
-  const std::size_t index_;
   std::unique_ptr<Poller> poller_;
   int wake_pipe_[2] = {-1, -1};
   std::thread thread_;
@@ -172,7 +180,6 @@ class Server::Loop {
   /// utterance the scratch and the cached FFT plans stay warm.
   core::ScoringWorkspace workspace_;
   bool drain_started_ = false;
-  bool reading_sent_ = false;  ///< start_drain() is reading pre-stop bytes
 
   Watch wake_watch_{Watch::Kind::kWakeup, nullptr};
   Watch unix_watch_{Watch::Kind::kListenerUnix, nullptr};
@@ -181,14 +188,10 @@ class Server::Loop {
 
 void Server::Loop::run() {
   poller_->add(wake_pipe_[0], Poller::kRead, &wake_watch_);
-  if (index_ == 0) {
-    if (server_.unix_fd_ >= 0) {
-      poller_->add(server_.unix_fd_, Poller::kRead, &unix_watch_);
-    }
-    if (server_.tcp_fd_ >= 0) {
-      poller_->add(server_.tcp_fd_, Poller::kRead, &tcp_watch_);
-    }
-  }
+  // Every loop watches the listeners, so a new connection is accepted by
+  // whichever loop is free instead of waiting behind one loop's scoring.
+  if (server_.unix_fd_ >= 0) poller_->add(server_.unix_fd_, Poller::kRead, &unix_watch_);
+  if (server_.tcp_fd_ >= 0) poller_->add(server_.tcp_fd_, Poller::kRead, &tcp_watch_);
 
   std::vector<PollerEvent> events(256);
   while (true) {
@@ -271,6 +274,7 @@ void Server::Loop::make_conn(int fd) {
     // The drain raced the dispatch; this fd was never served.
     send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
     server_.active_.fetch_sub(1, std::memory_order_relaxed);
+    live.fetch_sub(1, std::memory_order_relaxed);
     metric_active().set(
         static_cast<double>(server_.active_.load(std::memory_order_relaxed)));
     return;
@@ -309,7 +313,10 @@ bool Server::Loop::read_once(Conn* conn) {
     return false;
   }
   std::uint8_t buffer[1 << 16];
-  const ssize_t n = ::recv(conn->fd, buffer, sizeof buffer, 0);
+  const std::size_t want = conn->drain_budget > 0
+                               ? std::min(conn->drain_budget, sizeof buffer)
+                               : sizeof buffer;
+  const ssize_t n = ::recv(conn->fd, buffer, want, 0);
   if (n == 0) {  // client closed
     destroy(conn);
     return false;
@@ -320,6 +327,7 @@ bool Server::Loop::read_once(Conn* conn) {
     destroy(conn);
     return false;
   }
+  conn->drain_budget -= std::min(conn->drain_budget, static_cast<std::size_t>(n));
   conn->slot->touch();
   const std::size_t decisions_before = conn->session.decisions_sent();
   const bool alive = conn->session.on_bytes(buffer, static_cast<std::size_t>(n));
@@ -358,10 +366,11 @@ bool Server::Loop::after_session_io(Conn* conn, std::size_t decisions_before,
     conn->request_start = Clock::now();
     conn->deadline = conn->request_start + deadline_budget;
     // During a drain, answer what is in flight but do not wait for the
-    // client's next utterance — unless start_drain() is still reading what
+    // client's next utterance — unless start_drain() has yet to read bytes
     // the client sent before the stop, which may complete another one.
-    if (server_.stopping_.load(std::memory_order_acquire) &&
-        (!reading_sent_ || conn->session.idle())) {
+    // Until this loop starts its drain, every connection stays open: the
+    // drain's first read collects what is still queued.
+    if (drain_started_ && conn->drain_budget == 0) {
       conn->closing = true;
     }
   }
@@ -436,23 +445,22 @@ void Server::Loop::expire_deadlines() {
 void Server::Loop::start_drain() {
   if (drain_started_) return;
   drain_started_ = true;
-  if (index_ == 0) {
-    if (server_.unix_fd_ >= 0) {
-      poller_->remove(server_.unix_fd_);
-      close_quietly(server_.unix_fd_);
-      server_.unix_fd_ = -1;
-    }
-    if (server_.tcp_fd_ >= 0) {
-      poller_->remove(server_.tcp_fd_);
-      close_quietly(server_.tcp_fd_);
-      server_.tcp_fd_ = -1;
-    }
+  // Stop accepting: each loop drops the listeners from its poller, and
+  // the last to do so closes them, so no loop accepts on a closed fd.
+  if (server_.unix_fd_ >= 0) poller_->remove(server_.unix_fd_);
+  if (server_.tcp_fd_ >= 0) poller_->remove(server_.tcp_fd_);
+  if (server_.listening_loops_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    close_quietly(server_.unix_fd_);
+    close_quietly(server_.tcp_fd_);
+    server_.unix_fd_ = server_.tcp_fd_ = -1;
   }
   // Read before judging idleness: every END_OF_UTTERANCE that reached the
   // socket before the stop is owed its DECISION, even when this loop was
-  // busy scoring while it arrived. Connections left idle are told and
-  // closed now; one mid-utterance keeps its read interest and closes once
-  // its DECISION is out (bounded by its deadline).
+  // busy scoring while it arrived. The read stops at what was queued now
+  // (FIONREAD), so a client that keeps sending cannot hold the drain open.
+  // Connections left idle are told and closed now; one mid-utterance
+  // keeps its read interest and closes once its DECISION is out (bounded
+  // by its deadline).
   std::vector<std::uint64_t> open;
   for (const auto& [id, conn] : conns_) {
     if (!conn->closing) open.push_back(id);
@@ -462,11 +470,13 @@ void Server::Loop::start_drain() {
     const auto it = conns_.find(id);
     if (it == conns_.end()) continue;
     Conn* conn = it->second.get();
-    reading_sent_ = true;
-    bool more = true;
-    while (more) more = read_once(conn);
-    reading_sent_ = false;
+    int queued = 0;
+    if (::ioctl(conn->fd, FIONREAD, &queued) != 0) queued = 0;
+    conn->drain_budget = static_cast<std::size_t>(std::max(queued, 0));
+    while (conn->drain_budget > 0 && read_once(conn)) {
+    }
     if (conns_.find(id) == conns_.end()) continue;  // read_once destroyed it
+    conn->drain_budget = 0;
     if (!conn->closing && conn->session.idle()) (void)close_with(conn, frame);
   }
 }
@@ -490,6 +500,7 @@ void Server::Loop::destroy(Conn* conn) {
   close_quietly(conn->fd);
   server_.conn_table_.erase(conn->slot->id);
   server_.active_.fetch_sub(1, std::memory_order_relaxed);
+  live.fetch_sub(1, std::memory_order_relaxed);
   metric_active().set(
       static_cast<double>(server_.active_.load(std::memory_order_relaxed)));
   conns_.erase(conn->slot->id);  // frees conn
@@ -523,9 +534,8 @@ void Server::start() {
 
   const unsigned loops = util::resolve_jobs(config_.workers);
   loops_.reserve(loops);
-  for (unsigned i = 0; i < loops; ++i) {
-    loops_.push_back(std::make_unique<Loop>(*this, i));
-  }
+  for (unsigned i = 0; i < loops; ++i) loops_.push_back(std::make_unique<Loop>(*this));
+  listening_loops_.store(loops, std::memory_order_relaxed);
   for (auto& loop : loops_) loop->start();
 
   obs::log_info(
@@ -623,12 +633,24 @@ void Server::dispatch_fd(int fd) {
   metric_active().set(static_cast<double>(active_.load(std::memory_order_relaxed)));
   accepted_.fetch_add(1, std::memory_order_relaxed);
   metric_connections().increment();
-  const std::size_t target =
+  // Deal to the loop holding the fewest live connections, so connections
+  // that close free their loop for the next arrival. The scan starts at a
+  // rotating loop, which spreads ties round-robin.
+  const std::size_t start =
       next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  Loop* loop = loops_[target].get();
+  Loop* loop = loops_[start].get();
+  for (std::size_t i = 1; i < loops_.size(); ++i) {
+    Loop* other = loops_[(start + i) % loops_.size()].get();
+    if (other->live.load(std::memory_order_relaxed) <
+        loop->live.load(std::memory_order_relaxed)) {
+      loop = other;
+    }
+  }
+  loop->live.fetch_add(1, std::memory_order_relaxed);
   if (!loop->post([loop, fd] { loop->make_conn(fd); })) {
     // The loop exited under us (stop race): reject like the drain path.
     active_.fetch_sub(1, std::memory_order_relaxed);
+    loop->live.fetch_sub(1, std::memory_order_relaxed);
     send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
   }
 }

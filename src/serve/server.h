@@ -6,9 +6,9 @@
 // that score"), each running a Poller (epoll on Linux, poll fallback) over
 // its share of connections:
 //
-//   * Loop 0 also owns the listeners and hands accepted fds round-robin to
-//     the loops; a shard front can inject fds directly via
-//     adopt_connection().
+//   * Every loop watches the listeners; whichever is free accepts and
+//     hands the fd to the loop holding the fewest live connections. A
+//     shard front can inject fds directly via adopt_connection().
 //   * Everything about a connection runs on its loop thread: frame
 //     parsing, streaming-mode (auto-endpoint) segmentation and whole-
 //     utterance scoring. END_OF_UTTERANCE calls the pipeline's
@@ -26,8 +26,10 @@
 // deadline behind a busy loop is answered ERROR deadline-exceeded, never a
 // late DECISION. Saturation (at max_connections) answers BUSY and closes.
 // request_stop() drains: each loop first reads and answers what its
-// connections already sent, then tells idle connections kShuttingDown; a
-// connection mid-utterance is owed its DECISION (bounded by its deadline).
+// connections had sent when the drain began (no more, so a client that
+// keeps sending cannot hold it open), then tells idle connections
+// kShuttingDown; a connection mid-utterance is owed its DECISION (bounded
+// by its deadline).
 #pragma once
 
 #include <atomic>
@@ -133,7 +135,8 @@ class Server {
   class Loop;
 
   /// Routes a freshly-accepted/adopted fd: BUSY when saturated, shutdown
-  /// notice when draining, else round-robin to a loop. Takes fd ownership.
+  /// notice when draining, else to the least-loaded loop. Takes fd
+  /// ownership.
   void dispatch_fd(int fd);
 
   const core::HeadTalkPipeline& pipeline_;
@@ -145,6 +148,8 @@ class Server {
 
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<std::size_t> next_loop_{0};
+  /// Loops that still watch the listeners; the last to stop closes them.
+  std::atomic<std::size_t> listening_loops_{0};
 
   ConnectionTable conn_table_;
 

@@ -1,10 +1,11 @@
 // The server's event loops, end to end over real sockets: verdict parity
 // with in-process scoring, BUSY at the connection cap, a graceful drain
 // that answers an utterance which reached the socket while its loop was
-// busy, deadlines enforced on bytes that waited behind a busy loop,
-// byte-at-a-time delivery through a nonblocking adopted socket, and a
-// 256-client exactly-one-DECISION stress run driven by the multiplexed load
-// driver. The loop-scheduling contracts run with one loop and with several.
+// busy, a drain that ends although a client keeps sending, deadlines
+// enforced on bytes that waited behind a busy loop, byte-at-a-time
+// delivery through a nonblocking adopted socket, and a 256-client
+// exactly-one-DECISION stress run driven by the multiplexed load driver.
+// The loop-scheduling contracts run with one loop and with several.
 #include "serve/server.h"
 
 #include <sys/socket.h>
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -276,6 +278,85 @@ TEST(ServeEventLoop, DrainAnswersUtteranceParkedInBatchQueue) {
   }
 }
 
+TEST(ServeEventLoop, DrainEndsWhileClientKeepsSending) {
+  // A client that pipelines utterances without pause always has bytes
+  // queued at the server: over loopback TCP, whose buffers grow to
+  // megabytes, it writes short utterances far faster than the server
+  // scores them in full. The drain reads only what was queued when it
+  // began, so it must still end, with every DECISION it sent intact.
+  for (const unsigned loops : kLoopCounts) {
+    SCOPED_TRACE("loops " + std::to_string(loops));
+    ServerConfig config;
+    config.tcp_port =
+        30000 + static_cast<int>(::getpid() % 15000) + static_cast<int>(loops);
+    config.workers = loops;
+    config.request_deadline_ms = 60000;
+    Server server(test_pipeline(), config);
+    try {
+      server.start();
+    } catch (const std::runtime_error&) {
+      GTEST_SKIP() << "port " << config.tcp_port << " unavailable";
+    }
+
+    auto client = BlockingClient::connect_tcp(config.tcp_port);
+    (void)client.hello();
+    const auto capture = serve_test::make_capture(4, 1024);
+    std::vector<float> interleaved(capture.frames() * capture.channel_count());
+    for (std::size_t f = 0; f < capture.frames(); ++f) {
+      for (std::size_t c = 0; c < capture.channel_count(); ++c) {
+        interleaved[f * capture.channel_count() + c] =
+            static_cast<float>(capture.channel(c)[f]);
+      }
+    }
+    auto utterance = encode_audio_chunk(
+        interleaved, static_cast<std::uint16_t>(capture.channel_count()));
+    const auto end = encode_end_of_utterance(false);
+    utterance.insert(utterance.end(), end.begin(), end.end());
+
+    // Two threads share the connection: one only sends (until the server
+    // closes it), the other only reads.
+    std::atomic<bool> keep_sending{true};
+    std::thread sender([&] {
+      try {
+        while (keep_sending.load()) {
+          client.send_bytes(utterance.data(), utterance.size());
+        }
+      } catch (const ClientError&) {
+      }
+    });
+    std::vector<Frame> replies;
+    std::thread reader([&] {
+      try {
+        while (true) replies.push_back(client.read_frame(30000));
+      } catch (const ClientError&) {
+      }
+    });
+    EXPECT_TRUE(eventually([&] { return server.stats().decisions >= 4; }));
+
+    auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+    const bool ended =
+        stopped.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+    EXPECT_TRUE(ended) << "the drain kept reading a client that never pauses";
+    keep_sending.store(false);  // lets a drain that would not end finish
+    stopped.wait();
+    sender.join();
+    reader.join();
+
+    EXPECT_FALSE(server.running());
+    // DECISIONs, then at most a shutting-down notice (when the drain found
+    // the connection between utterances). The server closes with the
+    // client's later bytes unread, so TCP resets the connection and may
+    // drop the last replies in flight: fewer may arrive than were sent.
+    ASSERT_FALSE(replies.empty());
+    if (replies.back().type == FrameType::kError) {
+      EXPECT_EQ(parse_error(replies.back()).code, ErrorCode::kShuttingDown);
+      replies.pop_back();
+    }
+    for (const Frame& reply : replies) EXPECT_EQ(reply.type, FrameType::kDecision);
+    EXPECT_LE(replies.size(), server.stats().decisions);
+  }
+}
+
 TEST(ServeEventLoop, DeadlineEnforcedWhileParkedInBatchQueue) {
   for (const unsigned loops : kLoopCounts) {
     SCOPED_TRACE("loops " + std::to_string(loops));
@@ -533,31 +614,40 @@ TEST(ServeEventLoop, Stress256ClientsExactlyOneDecisionEach) {
   // one well-formed DECISION — protocol_violations counts any breach.
   for (const unsigned loops : kLoopCounts) {
     SCOPED_TRACE("loops " + std::to_string(loops));
-    ServerConfig config = normal_mode_config("stress256");
-    config.workers = loops;
-    Server server(test_pipeline(), config);
-    server.start();
+    // With a 50 ms ramp, connections arrive while the loops, which also
+    // accept, are scoring inline. With none, every connection opens before
+    // the first utterance fires.
+    for (const std::uint32_t ramp_ms : {50u, 0u}) {
+      SCOPED_TRACE("ramp_ms " + std::to_string(ramp_ms));
+      ServerConfig config = normal_mode_config("stress256");
+      config.workers = loops;
+      Server server(test_pipeline(), config);
+      server.start();
 
-    LoadDriverConfig load;
-    load.socket_path = config.socket_path;
-    load.connections = 256;
-    load.utterances = 256;  // one per connection (closed loop)
-    load.utterance_frames = 256;
-    // Every connection opens before the first utterance fires: the closed
-    // loop hands a finished connection the next utterance, so under a ramp
-    // a fast server could finish all 256 before the last connects.
-    load.ramp_ms = 0;
-    const LoadReport report = run_load(load);
+      LoadDriverConfig load;
+      load.socket_path = config.socket_path;
+      load.connections = 256;
+      load.utterances = 256;  // one per connection (closed loop)
+      load.utterance_frames = 256;
+      load.ramp_ms = ramp_ms;
+      const LoadReport report = run_load(load);
 
-    EXPECT_EQ(report.decisions, 256u);
-    EXPECT_EQ(report.protocol_violations, 0u);
-    EXPECT_EQ(report.errors, 0u);
-    EXPECT_EQ(report.busy_rejections, 0u);
-    EXPECT_EQ(report.abandoned, 0u);
-    server.stop();
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.decisions, 256u);
-    EXPECT_EQ(stats.connections_accepted, 256u);
+      EXPECT_EQ(report.decisions, 256u);
+      EXPECT_EQ(report.protocol_violations, 0u);
+      EXPECT_EQ(report.errors, 0u);
+      EXPECT_EQ(report.busy_rejections, 0u);
+      EXPECT_EQ(report.abandoned, 0u);
+      // Under a ramp the closed loop hands a finished connection the next
+      // utterance, so a fast server can serve all 256 before the last
+      // connection opens; the server must have taken every one that did.
+      if (ramp_ms == 0) {
+        EXPECT_EQ(report.connects, 256u);
+      }
+      EXPECT_TRUE(eventually(
+          [&] { return server.stats().connections_accepted == report.connects; }));
+      server.stop();
+      EXPECT_EQ(server.stats().decisions, 256u);
+    }
   }
 }
 

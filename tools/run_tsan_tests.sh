@@ -3,9 +3,10 @@
 # tests (thread pool, the shared FFT plan cache, sim harness incl. the
 # FeatureCache stress test, the serve daemon's multi-client stress —
 # several reactor loops scoring their connections' utterances concurrently
-# on one shared pipeline, fds dealt across loops, the admin plane reading
-# the connection table (ServeServer and ServeEventLoop run with one loop
-# and with several) — and the integration pipeline), so the parallel
+# on one shared pipeline, every loop accepting and dealing fds to the
+# least-loaded loop, the admin plane reading the connection table
+# (ServeServer and ServeEventLoop run with one loop and with several) —
+# and the integration pipeline), so the parallel
 # collection engine and the inference server stay race-clean. Usage:
 #
 #   tools/run_tsan_tests.sh [build-dir]     # default: build-tsan
