@@ -7,9 +7,11 @@
 // profile re-resolution can cost.
 //
 // Phase 2 answers "what does tenancy cost the serving plane?": the same
-// closed-loop client fleet as bench_serve_throughput runs twice against
-// one daemon — tenant-less, then with every connection AUTH'd to a random
-// tenant — and the record gains rps_tenantless / rps_authed / rps_ratio.
+// closed-loop client fleet as bench_serve_throughput runs against one
+// daemon, tenant-less (A) and with every connection AUTH'd to a random
+// tenant (B), in ABBA order after every loop has scored once, so neither
+// side is favoured by warm-up order; the record gains rps_tenantless /
+// rps_authed / rps_ratio.
 // While the AUTH'd fleet is in flight, a reloader thread republishes a
 // profile and hot-reloads the TenantService; the gate is that the
 // generation moves and not a single connection drops.
@@ -32,6 +34,7 @@
 #include "serve/server.h"
 #include "tenant/enrollment.h"
 #include "tenant/service.h"
+#include "util/thread_pool.h"
 
 using namespace headtalk;
 
@@ -105,7 +108,31 @@ struct PhaseResult {
   std::size_t decisions = 0;
   std::size_t failed_clients = 0;
   double wall = 0.0;
+
+  PhaseResult& operator+=(const PhaseResult& other) {
+    decisions += other.decisions;
+    failed_clients += other.failed_clients;
+    wall += other.wall;
+    return *this;
+  }
 };
+
+/// Holds one connection per loop at once (the server deals each new
+/// connection to the loop with the fewest), then scores one utterance on
+/// each: every loop has scored, and warmed its workspace, before a
+/// measured phase starts.
+void warm_every_loop(const std::filesystem::path& socket_path,
+                     const audio::MultiBuffer& capture, unsigned loops) {
+  serve::Hello hello;
+  hello.sample_rate_hz = static_cast<std::uint32_t>(capture.sample_rate());
+  hello.channels = static_cast<std::uint16_t>(capture.channel_count());
+  std::vector<serve::BlockingClient> fleet;
+  for (unsigned i = 0; i < loops; ++i) {
+    fleet.push_back(serve::BlockingClient::connect_unix(socket_path));
+    (void)fleet.back().hello(hello);
+  }
+  for (auto& client : fleet) (void)client.score(capture);
+}
 
 /// Closed-loop fleet; when `authed` each connection AUTHs to a distinct
 /// tenant before scoring. A client counts as dropped on any exception.
@@ -258,21 +285,20 @@ int main() {
   serve::Server server(pipeline, config);
   server.start();
 
-  // Warm-up pass so neither measured phase pays one-time costs (FFT plan
-  // cache, worker spin-up) that would bias the ratio.
-  (void)run_clients(config.socket_path, capture, std::min(clients, 2u), 1, false,
-                    tenant_count);
+  // Warm every loop so neither measured phase pays one-time costs (FFT
+  // plan cache, first scoring on a loop) that would bias the ratio.
+  warm_every_loop(config.socket_path, capture, util::resolve_jobs(config.workers));
 
-  const PhaseResult tenantless =
-      run_clients(config.socket_path, capture, clients, utterances, false, tenant_count);
+  // Tenant-less and AUTH'd fleets, nothing else running, in ABBA order:
+  // this is the apples-to-apples tenancy-overhead comparison.
+  PhaseResult tenantless, authed;
+  for (const bool auth : {false, true, true, false}) {
+    (auth ? authed : tenantless) +=
+        run_clients(config.socket_path, capture, clients, utterances, auth, tenant_count);
+  }
   const double rps_tenantless =
       tenantless.wall > 0.0 ? static_cast<double>(tenantless.decisions) / tenantless.wall
                             : 0.0;
-
-  // AUTH'd fleet, nothing else running: this is the apples-to-apples
-  // tenancy-overhead comparison.
-  const PhaseResult authed =
-      run_clients(config.socket_path, capture, clients, utterances, true, tenant_count);
 
   // Reload-under-load gate, as its own phase so the reloader's own CPU use
   // doesn't pollute the ratio: a reloader hammers the service — each cycle
@@ -335,8 +361,8 @@ int main() {
 
   const std::size_t expected =
       static_cast<std::size_t>(clients) * static_cast<std::size_t>(utterances);
-  bool ok = dropped == 0 && tenantless.decisions == expected &&
-            authed.decisions == expected && reloaded.decisions == expected &&
+  bool ok = dropped == 0 && tenantless.decisions == 2 * expected &&
+            authed.decisions == 2 * expected && reloaded.decisions == expected &&
             reloads > 0 && generation_delta >= reloads;
   // Tenancy must be near-free next to the DSP-dominated scoring path. The
   // ISSUE gate is "within ~10%"; allow a little measurement slack on noisy

@@ -23,34 +23,43 @@ void SampleRing::reset(std::uint16_t channels, std::size_t capacity_frames,
 
 void SampleRing::append(std::span<const float> interleaved) {
   if (channels_ == 0 || capacity_ == 0) return;
-  const std::size_t frames = interleaved.size() / channels_;
+  std::size_t frames = interleaved.size() / channels_;
+  const float* src = interleaved.data();
   // A single append larger than the whole ring keeps only its tail.
-  std::size_t start = 0;
   if (frames > capacity_) {
-    start = frames - capacity_;
-    dropped_ += start;
+    const std::size_t skip = frames - capacity_;
+    dropped_ += skip;
+    src += skip * channels_;
+    frames = capacity_;
   }
-  for (std::size_t f = start; f < frames; ++f) {
-    const std::size_t slot = (head_ + size_) % capacity_;
-    std::copy_n(interleaved.data() + f * channels_, channels_,
-                data_.data() + slot * channels_);
-    if (size_ < capacity_) {
-      ++size_;
-    } else {
-      head_ = (head_ + 1) % capacity_;  // overwrote the oldest frame
-      ++dropped_;
-    }
-  }
+  // Write at the tail in at most two contiguous runs; frames that overflow
+  // the ring overwrite the oldest ones.
+  std::size_t tail = head_ + size_;
+  if (tail >= capacity_) tail -= capacity_;
+  const std::size_t first = std::min(frames, capacity_ - tail);
+  std::copy_n(src, first * channels_, data_.data() + tail * channels_);
+  std::copy_n(src + first * channels_, (frames - first) * channels_, data_.data());
+  const std::size_t overflow = size_ + frames > capacity_ ? size_ + frames - capacity_ : 0;
+  size_ += frames - overflow;
+  head_ = (head_ + overflow) % capacity_;
+  dropped_ += overflow;
 }
 
 audio::MultiBuffer SampleRing::snapshot() const {
   audio::MultiBuffer capture(channels_, size_, sample_rate_);
-  for (std::size_t f = 0; f < size_; ++f) {
-    const std::size_t slot = (head_ + f) % capacity_;
+  // The buffered frames are at most two contiguous runs: [head_, end of
+  // storage) and the wrapped rest from slot 0.
+  const std::size_t first = std::min(size_, capacity_ - head_);
+  const auto deinterleave = [&](const float* src, std::size_t frames, std::size_t at) {
     for (std::uint16_t c = 0; c < channels_; ++c) {
-      capture.channel(c)[f] = static_cast<audio::Sample>(data_[slot * channels_ + c]);
+      audio::Sample* dst = capture.channel(c).data().data() + at;
+      for (std::size_t f = 0; f < frames; ++f) {
+        dst[f] = static_cast<audio::Sample>(src[f * channels_ + c]);
+      }
     }
-  }
+  };
+  deinterleave(data_.data() + head_ * channels_, first, 0);
+  deinterleave(data_.data(), size_ - first, first);
   return capture;
 }
 

@@ -243,6 +243,9 @@ void StreamingDetector::feed_op_to(std::uint64_t target) {
   if (target <= op_fed_end_) return;
   ring_.extract_into(op_fed_end_, target, feed_buffer_);
   op_.push(feed_buffer_);
+  // Fold orientation as the audio arrives, so the close pays only for the
+  // last blocks; a batch caller leaves the fold to finalize_orientation().
+  op_.fold_orientation();
   op_fed_end_ = target;
 }
 

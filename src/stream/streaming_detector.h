@@ -163,7 +163,8 @@ class StreamingDetector {
   /// sample frame `begin` (clamped to the ring's oldest retained frame;
   /// the loss accumulates in op_truncated_).
   void open_op(std::uint64_t begin);
-  /// Feeds ring samples [fed_end_, target) to the open extractor.
+  /// Feeds ring samples [fed_end_, target) to the open extractor and folds
+  /// the orientation blocks they complete.
   void feed_op_to(std::uint64_t target);
   /// Absolute sample frame up to which the open segment may be fed now:
   /// the close end can never exceed last_active + 1 + post_roll frames, so

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+#include <vector>
+
 #include "serve/protocol.h"
 #include "serve_test_util.h"
 
@@ -105,6 +109,57 @@ TEST(ServeSampleRing, OversizedAppendAfterWrapAroundKeepsNewestCapacityFrames) {
   EXPECT_DOUBLE_EQ(capture.channel(0)[0], 7.0);
   EXPECT_DOUBLE_EQ(capture.channel(0)[1], 8.0);
   EXPECT_DOUBLE_EQ(capture.channel(0)[2], 9.0);
+}
+
+TEST(ServeSampleRing, BulkCopiesMatchPerFrameReference) {
+  // The ring copies whole runs; a plain deque of frames with the same
+  // drop-oldest and keep-the-tail rules is the reference. Random append
+  // sizes (empty, small, exactly the capacity, oversized) walk the head
+  // through every wrap position, and every snapshot must match exactly.
+  std::mt19937 rng(17);
+  for (const std::uint16_t channels : {std::uint16_t{1}, std::uint16_t{3}}) {
+    for (const std::size_t capacity : {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
+      SampleRing ring;
+      ring.reset(channels, capacity, 16000.0);
+      std::deque<std::vector<float>> reference;
+      std::uint64_t dropped = 0;
+      float next = 0.0f;
+      std::uniform_int_distribution<std::size_t> size_pick(0, 2 * capacity + 2);
+      for (int step = 0; step < 400; ++step) {
+        const std::size_t frames = size_pick(rng);
+        std::vector<float> interleaved;
+        for (std::size_t f = 0; f < frames; ++f) {
+          std::vector<float> frame;
+          for (std::uint16_t c = 0; c < channels; ++c) {
+            frame.push_back(next + 0.25f * static_cast<float>(c));
+          }
+          next += 1.0f;
+          interleaved.insert(interleaved.end(), frame.begin(), frame.end());
+          reference.push_back(frame);
+          if (reference.size() > capacity) {
+            reference.pop_front();
+            ++dropped;
+          }
+        }
+        ring.append(interleaved);
+        ASSERT_EQ(ring.frames(), reference.size()) << "step " << step;
+        ASSERT_EQ(ring.dropped_frames(), dropped) << "step " << step;
+        const auto capture = ring.snapshot();
+        ASSERT_EQ(capture.frames(), reference.size());
+        for (std::size_t f = 0; f < reference.size(); ++f) {
+          for (std::uint16_t c = 0; c < channels; ++c) {
+            ASSERT_EQ(capture.channel(c)[f], static_cast<double>(reference[f][c]))
+                << "step " << step << " frame " << f << " channel " << c;
+          }
+        }
+        if (step % 97 == 96) {
+          ring.clear();
+          reference.clear();
+          dropped = 0;
+        }
+      }
+    }
+  }
 }
 
 TEST(ServeSession, HelloHandshakeAdvertisesLimits) {

@@ -7,7 +7,8 @@
 #
 #   - /healthz answers 200 "ok", /readyz answers "ready" while serving
 #   - /metrics (Prometheus text) decision counters sum to the decisions
-#     the clients counted, and the per-stage latency histograms are there
+#     the clients counted, and the per-stage latency histograms and the
+#     orientation fold counter are there
 #   - /metrics.json parses and --watch renders a frame from it
 #   - /stats.json parses and carries pid/rss/connections
 #   - SIGTERM drains cleanly and the final snapshot is printed
@@ -112,6 +113,10 @@ counted=$(printf '%s\n' "$metrics" \
 if [ "$counted" -ne "$expected" ]; then
   echo "run_obs_smoke.sh: /metrics counted $counted decisions, clients saw $expected" >&2
   printf '%s\n' "$metrics" | grep '^pipeline_decision' >&2 || true
+  exit 1
+fi
+if ! printf '%s\n' "$metrics" | grep -q "^core_op_orientation_blocks [0-9]"; then
+  echo "run_obs_smoke.sh: /metrics lacks the orientation fold counter" >&2
   exit 1
 fi
 for stage in incremental_accumulate liveness_features liveness_score; do
