@@ -77,6 +77,7 @@ struct ServerStats {
   std::uint64_t decisions = 0;
   std::uint64_t session_errors = 0;
   std::uint64_t deadline_expirations = 0;
+  /// Open client sockets, a closed TCP connection still lingering included.
   std::size_t active_connections = 0;
 };
 
@@ -119,10 +120,11 @@ class Server {
   /// Snapshot of the live per-connection table (never blocks a loop).
   [[nodiscard]] std::vector<ConnectionInfo> connections() const;
 
-  /// Hands the server an already-accepted connection fd (the shard front's
-  /// SCM_RIGHTS path). The server owns the fd from here on — it is served
-  /// like a locally-accepted connection, answered BUSY + closed at
-  /// max_connections, or closed outright when the server is stopping.
+  /// Hands the server an already-accepted unix-socket connection fd (the
+  /// shard front's SCM_RIGHTS path). The server owns the fd from here on —
+  /// it is served like a locally-accepted connection, answered BUSY +
+  /// closed at max_connections, or closed outright when the server is
+  /// stopping.
   void adopt_connection(int fd);
 
   /// Runs `task` once on every loop thread, after what each loop has
@@ -136,8 +138,8 @@ class Server {
 
   /// Routes a freshly-accepted/adopted fd: BUSY when saturated, shutdown
   /// notice when draining, else to the least-loaded loop. Takes fd
-  /// ownership.
-  void dispatch_fd(int fd);
+  /// ownership; `tcp` marks an fd from the TCP listener.
+  void dispatch_fd(int fd, bool tcp);
 
   const core::HeadTalkPipeline& pipeline_;
   ServerConfig config_;
