@@ -1,15 +1,21 @@
-// Serving scale: the server under 1000+ multiplexed
-// connections, plus SO_REUSEPORT shard scaling.
+// Serving scale: the server under 1000+ multiplexed connections, and how
+// its loops scale across cores at steady state.
 //
-// Three phases:
+// Two phases:
 //
-//   1. one shard process on a SO_REUSEPORT TCP port, closed-loop load
-//      -> rps_1shard;
-//   2. two shard processes on the same port, the same load ->
-//      rps_2shard and shard_speedup, plus a merged-vs-sum check of the
-//      per-shard /metrics.json snapshots through obs::merge (the exact
-//      path `headtalk_client --admin-merge` exercises);
-//   3. the headline scale run: an in-process serve::Server on a Unix
+//   1. scaling: two in-process serve::Server instances, one with 2 loops
+//      and one with 4, under the same closed-loop load (16 multiplexed
+//      connections, each firing its next utterance the moment the previous
+//      DECISION lands). Each side first runs a warm-up cut of half a
+//      window, then kScalingWindows fixed-duration windows; the windows
+//      alternate 2, 4, 2, 4, ... so drift on the host hits both sides
+//      alike. A side's rps is the median over its windows and its spread
+//      is the interquartile range over the median; loop_speedup is the
+//      ratio of the medians. The 4-loop side needs every core of a 4-core
+//      host, so CPU taken by anything else on the host lowers it more than
+//      the 2-loop side; with 9 windows a side, a burst that hits a few of
+//      them does not move the medians.
+//   2. the headline scale run: an in-process serve::Server on a Unix
 //      socket driven by the multiplexed LoadDriver holding
 //      $HEADTALK_SCALE_BENCH_CLIENTS (default 1000) concurrent
 //      connections, firing utterances open-loop at a fixed global
@@ -17,36 +23,30 @@
 //      no coordinated omission).
 //
 // The perf record gains concurrent_connections, rps/offered_rps,
-// p50/p95/p99, rps_1shard/rps_2shard/shard_speedup and
-// merge_connections_delta. Gates: every fired utterance gets exactly one
-// DECISION (no violations, errors, or abandoned requests), the scale
-// phase really held the requested connection count, merged metrics equal
-// the per-shard sum, and — only on hosts with >= 2 CPUs, where the
-// kernel can actually run the shards in parallel — 2 shards reach >=
-// 1.7x the single-shard RPS.
+// p50/p95/p99, rps_2loop/rps_4loop (medians), rps_2loop_spread/
+// rps_4loop_spread and loop_speedup. Gates: every fired utterance gets
+// exactly one DECISION (no violations, errors, or abandoned requests), the
+// scale phase really held the requested connection count, and — only on
+// hosts with >= 4 hardware threads, the loops the 4-loop side runs in
+// parallel — 4 loops reach >= 1.7x the 2-loop median rps.
 //
-// Shard processes fork BEFORE the parent spawns any threads (the obs
-// registry and scoring pipeline are process-global; fork-then-build is
-// the only safe order); each child builds its own pipeline, server and
-// admin plane, and exits on SIGTERM via the server's graceful drain.
-//
-// $HEADTALK_SCALE_BENCH_JOBS (default 2) sets each server's loop threads,
-// which are also the threads that score.
-#include <sys/wait.h>
+// $HEADTALK_SCALE_BENCH_WINDOW_MS (default 2000) sets the length of each
+// scaling window. $HEADTALK_SCALE_BENCH_JOBS (default 2) sets the scale
+// phase's loop threads, which are also the threads that score.
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
+#include <array>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/pipeline.h"
-#include "obs/export.h"
-#include "serve/admin.h"
 #include "serve/load_driver.h"
 #include "serve/server.h"
 
@@ -105,132 +105,28 @@ core::LivenessDetector make_liveness() {
 }
 
 struct Knobs {
-  unsigned clients, rps, utterances, jobs;
-  unsigned shard_clients, shard_utterances, frames;
+  unsigned clients, rps, utterances, jobs, frames, window_ms;
 };
 
-serve::Server* g_child_server = nullptr;
-void child_term(int) {
-  if (g_child_server != nullptr) g_child_server->request_stop();
+// The scaling phase: loop counts compared, connections, windows per side.
+constexpr std::array<unsigned, 2> kScalingLoops = {2, 4};
+constexpr std::size_t kScalingClients = 16;
+constexpr std::size_t kScalingWindows = 9;
+constexpr double kScalingGate = 1.7;
+
+std::filesystem::path socket_path(const std::string& tag) {
+  return std::filesystem::temp_directory_path() /
+         ("headtalk_bench_scale_" + std::to_string(::getpid()) + "_" + tag + ".sock");
 }
 
-/// Shard child body: builds its own pipeline + server on the
-/// shared SO_REUSEPORT port plus a private admin plane, serves until
-/// SIGTERM, drains, exits. Never returns to the bench main.
-[[noreturn]] void run_shard_child(int tcp_port,
-                                  const std::filesystem::path& admin_socket,
-                                  const Knobs& knobs) {
-  const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
-  serve::ServerConfig config;
-  config.tcp_port = tcp_port;  // TCP only; fd passing is not under test
-  config.request_deadline_ms = 120000;
-  config.reuseport = true;
-  config.workers = knobs.jobs;
-  serve::Server server(pipeline, config);
-  server.start();
-  g_child_server = &server;
-  std::signal(SIGTERM, child_term);
-
-  serve::AdminConfig admin_config;
-  admin_config.socket_path = admin_socket;
-  serve::AdminServer admin(admin_config);
-  admin.start();
-
-  server.wait();
-  server.stop();
-  admin.stop();
-  std::_Exit(0);
-}
-
-struct Fleet {
-  std::vector<pid_t> pids;
-  std::vector<std::filesystem::path> admin_sockets;
-};
-
-Fleet spawn_shards(unsigned count, int tcp_port, const Knobs& knobs) {
-  Fleet fleet;
-  for (unsigned k = 0; k < count; ++k) {
-    auto admin_socket =
-        std::filesystem::temp_directory_path() /
-        ("headtalk_scale_admin_" + std::to_string(::getpid()) + "_" +
-         std::to_string(tcp_port) + "_" + std::to_string(k) + ".sock");
-    const pid_t pid = ::fork();
-    if (pid == 0) run_shard_child(tcp_port, admin_socket, knobs);
-    if (pid < 0) {
-      std::perror("fork");
-      std::exit(1);
-    }
-    fleet.pids.push_back(pid);
-    fleet.admin_sockets.push_back(std::move(admin_socket));
-  }
-  return fleet;
-}
-
-/// admin_get_unix throws while the shard's admin socket does not exist
-/// yet; treat any failure as "not up yet / scrape failed".
-serve::AdminFetch try_admin_get(const std::filesystem::path& socket,
-                                std::string_view target) {
-  try {
-    return serve::admin_get_unix(socket, target, 2000);
-  } catch (const std::exception&) {
-    return {};
-  }
-}
-
-bool wait_shards_ready(const Fleet& fleet) {
-  for (const auto& socket : fleet.admin_sockets) {
-    bool up = false;
-    for (int spin = 0; spin < 600 && !up; ++spin) {
-      up = try_admin_get(socket, "/healthz").status == 200;
-      if (!up) std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    if (!up) {
-      std::fprintf(stderr, "shard admin %s never became healthy\n",
-                   socket.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// SIGTERMs every shard and reaps it; true when all exited cleanly.
-bool stop_shards(const Fleet& fleet) {
-  for (const pid_t pid : fleet.pids) ::kill(pid, SIGTERM);
-  bool ok = true;
-  for (const pid_t pid : fleet.pids) {
-    int status = 0;
-    pid_t waited;
-    do {
-      waited = ::waitpid(pid, &status, 0);
-    } while (waited < 0 && errno == EINTR);
-    const bool clean = waited == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (!clean) {
-      std::fprintf(stderr, "shard pid %d exited unclean (status 0x%x)\n",
-                   static_cast<int>(pid), status);
-      ok = false;
-    }
-  }
-  for (const auto& socket : fleet.admin_sockets) {
-    std::error_code ec;
-    std::filesystem::remove(socket, ec);
-  }
-  return ok;
-}
-
-serve::LoadDriverConfig shard_load(int tcp_port, const Knobs& knobs) {
-  serve::LoadDriverConfig load;
-  load.tcp_port = tcp_port;
-  load.connections = knobs.shard_clients;
-  load.utterances = knobs.shard_utterances;
-  load.utterance_frames = knobs.frames;
-  load.ramp_ms = 100;
-  load.drain_grace_seconds = 60.0;
-  return load;
-}
-
+/// True when the load lost nothing: no ERROR, protocol violation or
+/// abandoned utterance, and `expected` DECISIONs (any nonzero count when
+/// `expected` is 0, for a duration-bounded load).
 bool report_clean(const serve::LoadReport& report, std::uint64_t expected,
                   const char* phase) {
-  const bool ok = report.decisions == expected && report.errors == 0 &&
+  const bool counted =
+      expected > 0 ? report.decisions == expected : report.decisions > 0;
+  const bool ok = counted && report.errors == 0 &&
                   report.protocol_violations == 0 && report.abandoned == 0;
   if (!ok) {
     std::fprintf(stderr,
@@ -251,108 +147,113 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
   return sorted[rank];
 }
 
+struct SideRps {
+  double median = 0.0;
+  double spread = 0.0;  ///< (q3 - q1) / median
+};
+
+SideRps summarize(std::vector<double> rps) {
+  SideRps out;
+  if (rps.empty()) return out;
+  std::sort(rps.begin(), rps.end());
+  const std::size_t n = rps.size();
+  out.median = rps[n / 2];
+  out.spread = out.median > 0.0 ? (rps[3 * n / 4] - rps[n / 4]) / out.median : 0.0;
+  return out;
+}
+
+/// Phase 1: 2 vs 4 loops under the same closed-loop load, at steady state.
+/// Fills `sides` with each loop count's median rps and spread; false when
+/// a window lost a DECISION.
+bool run_scaling(const core::HeadTalkPipeline& pipeline, const Knobs& knobs,
+                 std::array<SideRps, kScalingLoops.size()>& sides) {
+  std::vector<std::unique_ptr<serve::Server>> servers;
+  std::vector<serve::LoadDriverConfig> loads;
+  for (const unsigned loops : kScalingLoops) {
+    serve::ServerConfig config;
+    config.socket_path = socket_path("loops" + std::to_string(loops));
+    config.request_deadline_ms = 120000;
+    config.workers = loops;
+    servers.push_back(std::make_unique<serve::Server>(pipeline, config));
+    servers.back()->start();
+
+    serve::LoadDriverConfig load;
+    load.socket_path = config.socket_path;
+    load.connections = kScalingClients;
+    load.utterance_frames = knobs.frames;
+    load.drain_grace_seconds = 60.0;
+    loads.push_back(load);
+  }
+
+  bool ok = true;
+  const double window_seconds = knobs.window_ms / 1000.0;
+  // Warm-up cut: scoring workspaces, FFT plans and page faults settle
+  // before anything is recorded.
+  for (auto& load : loads) {
+    load.duration_seconds = 0.5 * window_seconds;
+    const serve::LoadReport report = serve::run_load(load);
+    ok = report_clean(report, 0, "scaling warm-up") && ok;
+  }
+
+  std::array<std::vector<double>, kScalingLoops.size()> window_rps;
+  for (std::size_t w = 0; w < kScalingWindows; ++w) {
+    for (std::size_t side = 0; side < kScalingLoops.size(); ++side) {
+      loads[side].duration_seconds = window_seconds;
+      const serve::LoadReport report = serve::run_load(loads[side]);
+      ok = report_clean(report, 0, "scaling") && ok;
+      window_rps[side].push_back(report.achieved_rps);
+      bench::PerfRecorder::instance().add_samples(report.decisions);
+    }
+  }
+  for (auto& server : servers) server->stop();
+
+  for (std::size_t side = 0; side < kScalingLoops.size(); ++side) {
+    sides[side] = summarize(window_rps[side]);
+    std::printf("%u loops : %zu conns closed-loop, %zu x %.1f s windows, median %.1f rps "
+                "(spread %.1f%%):",
+                kScalingLoops[side], kScalingClients, kScalingWindows, window_seconds,
+                sides[side].median, 100.0 * sides[side].spread);
+    for (const double rps : window_rps[side]) std::printf(" %.0f", rps);
+    std::printf("\n");
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main() {
   bench::print_title("serve_scale",
-                     "serve::Server: 1000-connection load and shard speedup");
+                     "serve::Server: 1000-connection load and 2 -> 4 loop scaling");
 
   Knobs knobs;
   knobs.clients = env_or("HEADTALK_SCALE_BENCH_CLIENTS", 1000);
   knobs.rps = env_or("HEADTALK_SCALE_BENCH_RPS", 120);
   knobs.utterances = env_or("HEADTALK_SCALE_BENCH_UTTERANCES", 1200);
   knobs.jobs = env_or("HEADTALK_SCALE_BENCH_JOBS", 2);
-  knobs.shard_clients = env_or("HEADTALK_SCALE_BENCH_SHARD_CLIENTS", 64);
-  knobs.shard_utterances = env_or("HEADTALK_SCALE_BENCH_SHARD_UTTERANCES", 384);
   knobs.frames = env_or("HEADTALK_SCALE_BENCH_FRAMES", 4800);
+  knobs.window_ms = env_or("HEADTALK_SCALE_BENCH_WINDOW_MS", 2000);
 
-  // Distinct ports per phase so a lingering TIME_WAIT listener from phase
-  // 1 cannot steal phase-2 accepts through SO_REUSEPORT.
-  const int port_base = 7600 + static_cast<int>(::getpid() % 997);
-  bool ok = true;
+  const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
 
-  // ---- Phase 1: one shard on a reuseport TCP port, closed-loop load.
-  // Forks happen while this process is still single-threaded; the
-  // LoadDriver multiplexes every client connection on the main thread.
-  double rps_1shard = 0.0;
-  {
-    const Fleet fleet = spawn_shards(1, port_base, knobs);
-    if (!wait_shards_ready(fleet)) return 1;
-    const serve::LoadReport report = serve::run_load(shard_load(port_base, knobs));
-    ok = report_clean(report, knobs.shard_utterances, "1-shard") && ok;
-    rps_1shard = report.achieved_rps;
-    ok = stop_shards(fleet) && ok;
-    bench::PerfRecorder::instance().add_samples(report.decisions);
-    std::printf("1 shard : %u conns closed-loop, %llu decisions, %.1f rps\n",
-                knobs.shard_clients,
-                static_cast<unsigned long long>(report.decisions), rps_1shard);
-  }
-
-  // ---- Phase 2: two shards sharing the port; the kernel spreads accepts.
-  double rps_2shard = 0.0;
-  double merge_delta = 0.0;
-  {
-    const Fleet fleet = spawn_shards(2, port_base + 1, knobs);
-    if (!wait_shards_ready(fleet)) return 1;
-    const serve::LoadReport report =
-        serve::run_load(shard_load(port_base + 1, knobs));
-    ok = report_clean(report, knobs.shard_utterances, "2-shard") && ok;
-    rps_2shard = report.achieved_rps;
-
-    // Merged-vs-sum: fold the per-shard /metrics.json snapshots with
-    // obs::merge (the --admin-merge path) and require the merged
-    // connection counter to equal the arithmetic per-shard sum.
-    std::vector<obs::MetricsSnapshot> snapshots;
-    std::uint64_t summed = 0;
-    for (const auto& socket : fleet.admin_sockets) {
-      const serve::AdminFetch fetch = try_admin_get(socket, "/metrics.json");
-      if (fetch.status != 200) {
-        std::fprintf(stderr, "metrics.json scrape failed (%d)\n", fetch.status);
-        ok = false;
-        continue;
-      }
-      snapshots.push_back(obs::parse_snapshot_json(fetch.body));
-      const auto it = snapshots.back().counters.find("serve.connections");
-      summed += it == snapshots.back().counters.end() ? 0 : it->second;
-    }
-    const obs::MetricsSnapshot merged = obs::merge(snapshots);
-    const auto it = merged.counters.find("serve.connections");
-    const std::uint64_t merged_connections =
-        it == merged.counters.end() ? 0 : it->second;
-    merge_delta = static_cast<double>(merged_connections) -
-                  static_cast<double>(summed);
-    if (merge_delta != 0.0 || summed == 0) {
-      std::fprintf(stderr, "merge mismatch: merged %llu, per-shard sum %llu\n",
-                   static_cast<unsigned long long>(merged_connections),
-                   static_cast<unsigned long long>(summed));
-      ok = false;
-    }
-
-    ok = stop_shards(fleet) && ok;
-    bench::PerfRecorder::instance().add_samples(report.decisions);
-    std::printf("2 shards: %u conns closed-loop, %llu decisions, %.1f rps  (merged ok: %s)\n",
-                knobs.shard_clients,
-                static_cast<unsigned long long>(report.decisions), rps_2shard,
-                merge_delta == 0.0 ? "yes" : "NO");
-  }
-
-  const double speedup = rps_1shard > 0.0 ? rps_2shard / rps_1shard : 0.0;
+  // ---- Phase 1: 2 -> 4 loops in one process, closed loop, steady state.
+  std::array<SideRps, kScalingLoops.size()> sides{};
+  bool ok = run_scaling(pipeline, knobs, sides);
+  const double speedup = sides[0].median > 0.0 ? sides[1].median / sides[0].median : 0.0;
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("shard speedup: %.2fx on %u core(s)%s\n", speedup, cores,
-              cores >= 2 ? "" : "  [>=1.7x gate skipped: single core]");
-  if (cores >= 2 && speedup < 1.7) {
-    std::fprintf(stderr, "2-shard speedup %.2fx below the 1.7x gate\n", speedup);
+  const bool gated = cores >= kScalingLoops.back();
+  std::printf("loop speedup: %.2fx on %u core(s)%s\n", speedup, cores,
+              gated ? "" : "  [>=1.7x gate skipped: fewer cores than loops]");
+  if (gated && speedup < kScalingGate) {
+    std::fprintf(stderr, "2 -> 4 loop speedup %.2fx below the %.1fx gate\n", speedup,
+                 kScalingGate);
     ok = false;
   }
 
-  // ---- Phase 3: the headline scale run. One in-process server,
+  // ---- Phase 2: the headline scale run. One in-process server,
   // `clients` concurrent multiplexed connections, open-loop
   // arrivals at a fixed global rate.
-  const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
   serve::ServerConfig config;
-  config.socket_path =
-      std::filesystem::temp_directory_path() /
-      ("headtalk_bench_scale_" + std::to_string(::getpid()) + ".sock");
+  config.socket_path = socket_path("scale");
   config.request_deadline_ms = 120000;
   config.workers = knobs.jobs;
   config.max_connections = knobs.clients + 64;
@@ -405,9 +306,10 @@ int main() {
   rec.set_metric("p50_seconds", p50);
   rec.set_metric("p95_seconds", p95);
   rec.set_metric("p99_seconds", p99);
-  rec.set_metric("rps_1shard", rps_1shard);
-  rec.set_metric("rps_2shard", rps_2shard);
-  rec.set_metric("shard_speedup", speedup);
-  rec.set_metric("merge_connections_delta", merge_delta);
+  rec.set_metric("rps_2loop", sides[0].median);
+  rec.set_metric("rps_4loop", sides[1].median);
+  rec.set_metric("rps_2loop_spread", sides[0].spread);
+  rec.set_metric("rps_4loop_spread", sides[1].spread);
+  rec.set_metric("loop_speedup", speedup);
   return ok ? 0 : 1;
 }

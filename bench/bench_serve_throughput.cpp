@@ -16,7 +16,9 @@
 // and admin_scrape_p95_seconds.
 //
 // Knobs: $HEADTALK_SERVE_BENCH_CLIENTS (default 8) and
-// $HEADTALK_SERVE_BENCH_UTTERANCES per client (default 3).
+// $HEADTALK_SERVE_BENCH_UTTERANCES per client (default 12). Fewer
+// utterances leave too little load to measure: at 3 per client a phase is
+// ~90 ms, mostly connection start-up, and its rps swings ~2x between runs.
 #include <unistd.h>
 
 #include <algorithm>
@@ -181,7 +183,7 @@ int main() {
                      "inference daemon RPS and latency under concurrent clients");
 
   const unsigned clients = env_or("HEADTALK_SERVE_BENCH_CLIENTS", 8);
-  const unsigned utterances = env_or("HEADTALK_SERVE_BENCH_UTTERANCES", 3);
+  const unsigned utterances = env_or("HEADTALK_SERVE_BENCH_UTTERANCES", 12);
 
   // One rendered capture, replayed by every client: the server still does
   // the full preprocess + feature + score work per utterance.

@@ -190,9 +190,9 @@ ObsSession::~ObsSession() {
     }
   }
   if (!metrics_path_.empty()) {
-    // The mergeable snapshot form (obs/export.h), not the quantile dump:
+    // The lossless snapshot form (obs/export.h), not the quantile dump:
     // a file written at exit and a live /metrics.json scrape are the same
-    // bytes, so shard aggregation can mix both sources.
+    // bytes, so one reader handles both sources.
     if (obs::write_snapshot_json_file(metrics_path_, obs::snapshot())) {
       obs::log_info("obs.metrics.written", {{"path", metrics_path_}});
     }

@@ -16,9 +16,11 @@
 namespace headtalk::core {
 namespace {
 
-// Same PHAT regularizer as gcc_phat's default; the coherence sampling
-// parameters match PairwiseGccOptions' defaults (the batch extractor only
-// ever overrode the floor).
+// Same PHAT regularizer as gcc_phat's default. Pair coherence samples
+// every kCoherenceStride-th bin in blocks of kCoherenceBlock samples:
+// single-bin coherence is identically 1, so the averaging inside a block is
+// what makes it a detector. Independent noise between two channels
+// decorrelates to ~1/kCoherenceBlock (~0.016); coupled channels stay near 1.
 constexpr double kPhatEpsilon = 1e-12;
 constexpr std::size_t kCoherenceStride = 4;
 constexpr std::size_t kCoherenceBlock = 64;
@@ -39,9 +41,9 @@ obs::Counter& orientation_blocks_counter() {
   return c;
 }
 
-// Mirrors the block count pair_coherence produces for a given bin count:
-// sampled every stride-th bin in groups of `block`, ragged tails shorter
-// than block/2 folded away.
+// Coherence blocks for a given bin count: sampled every stride-th bin in
+// groups of `block`, ragged tails shorter than block/2 folded away (they
+// would read as spuriously coherent).
 std::size_t coherence_block_count(std::size_t bins) {
   std::size_t blocks = 0;
   std::size_t k = 0;
@@ -272,8 +274,8 @@ void IncrementalExtractor::append_mixdown(std::size_t begin, std::size_t end) {
 void IncrementalExtractor::accumulate_pair_block(const dsp::HalfSpectrum& x,
                                                  const dsp::HalfSpectrum& y,
                                                  double* coherence_acc) {
-  // Partial sums of the block-averaged coherence estimate, in exactly the
-  // bin grouping of pair_coherence; finalize forms |Σxy*|²/(Σ|x|²Σ|y|²)
+  // Partial sums of the block-averaged coherence estimate, in the bin
+  // grouping of coherence_block_count; finalize forms |Σxy*|²/(Σ|x|²Σ|y|²)
   // from the per-segment sums so the estimate is Welch-averaged over the
   // selected blocks.
   const std::size_t bins = std::min(x.bins.size(), y.bins.size());

@@ -179,7 +179,7 @@ class IncrementalExtractor {
   std::size_t pair_count_ = 0;
   std::size_t block_fft_ = 0;
   std::size_t fold_begin_ = 0, fold_end_ = 0;
-  std::size_t coherence_blocks_ = 0;  ///< sampled-bin blocks per pair_coherence pass
+  std::size_t coherence_blocks_ = 0;  ///< sampled-bin coherence blocks per pair
   std::vector<double> gcc_blocks_;    ///< [block][pair][2*max_lag+1]
   std::vector<double> coherence_partials_;  ///< [block][pair][cblock][cr,ci,px,py]
   std::vector<dsp::HalfSpectrum> block_spectra_;  ///< per-channel scratch

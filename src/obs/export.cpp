@@ -59,11 +59,6 @@ std::uint64_t as_u64(const util::JsonValue& value) {
   return static_cast<std::uint64_t>(number);
 }
 
-GaugeMergePolicy policy_for(const std::string& name, const MergeOptions& options) {
-  const auto it = options.gauge_overrides.find(name);
-  return it != options.gauge_overrides.end() ? it->second : options.default_gauge;
-}
-
 }  // namespace
 
 MetricsSnapshot snapshot(const Registry& registry) {
@@ -226,52 +221,6 @@ MetricsSnapshot parse_snapshot_json(std::string_view text) {
     histogram.sum = require(value, "sum").as_number();
     out.histograms.emplace(name, std::move(histogram));
   }
-  return out;
-}
-
-void merge_into(MetricsSnapshot& into, const MetricsSnapshot& from,
-                const MergeOptions& options) {
-  for (const auto& [name, value] : from.counters) {
-    into.counters[name] += value;
-  }
-  for (const auto& [name, value] : from.gauges) {
-    const auto [it, inserted] = into.gauges.emplace(name, value);
-    if (inserted) continue;
-    switch (policy_for(name, options)) {
-      case GaugeMergePolicy::kMax:
-        it->second = std::max(it->second, value);
-        break;
-      case GaugeMergePolicy::kMin:
-        it->second = std::min(it->second, value);
-        break;
-      case GaugeMergePolicy::kSum:
-        it->second += value;
-        break;
-      case GaugeMergePolicy::kLast:
-        it->second = value;
-        break;
-    }
-  }
-  for (const auto& [name, histogram] : from.histograms) {
-    const auto [it, inserted] = into.histograms.emplace(name, histogram);
-    if (inserted) continue;
-    HistogramSnapshot& target = it->second;
-    if (target.bounds != histogram.bounds) {
-      throw std::invalid_argument("metrics merge: bounds mismatch for histogram '" +
-                                  name + "'");
-    }
-    for (std::size_t i = 0; i < target.buckets.size(); ++i) {
-      target.buckets[i] += histogram.buckets[i];
-    }
-    target.count += histogram.count;
-    target.sum += histogram.sum;
-  }
-}
-
-MetricsSnapshot merge(const std::vector<MetricsSnapshot>& snapshots,
-                      const MergeOptions& options) {
-  MetricsSnapshot out;
-  for (const auto& snapshot : snapshots) merge_into(out, snapshot, options);
   return out;
 }
 

@@ -1,11 +1,11 @@
-// Live metrics exposition and cross-process aggregation.
+// Live metrics exposition.
 //
 // The MetricsRegistry (obs/metrics.h) is an in-process store; this layer
-// turns it into wire formats a running daemon can serve and an aggregator
-// can combine:
+// turns it into wire formats a running daemon can serve and a scraper can
+// read back:
 //
 //   - snapshot():        a point-in-time, plain-data copy of a Registry —
-//                        safe to render, ship, or merge after the fact.
+//                        safe to render or ship after the fact.
 //   - write_prometheus(): Prometheus text exposition (format 0.0.4):
 //                        counters, gauges, and histograms with *cumulative*
 //                        `_bucket{le="..."}` series plus `_sum`/`_count`,
@@ -15,18 +15,12 @@
 //                        scrapes as `pipeline_decision_accepted`).
 //   - write_snapshot_json()/parse_snapshot_json(): a lossless JSON form
 //                        (per-bucket counts, not quantiles) that round-
-//                        trips through parse — the shipping format for
-//                        per-shard aggregation.
-//   - merge_into():      combines snapshots from N processes: counters
-//                        sum, histogram buckets/count/sum add (bounds must
-//                        match exactly — a mismatch throws, it is a config
-//                        error, not data), gauges combine under a policy
-//                        (default kMax; per-name overrides for gauges
-//                        where min/sum/last is the meaningful aggregate).
+//                        trips through parse — what /metrics.json serves
+//                        and what `headtalk_client --watch` and e2ebench
+//                        read back, so quantiles can be taken of deltas.
 //
 // Everything here works on plain structs; nothing holds registry locks
-// beyond the initial snapshot, so rendering and merging never stall
-// scoring threads.
+// beyond the initial snapshot, so rendering never stalls scoring threads.
 #pragma once
 
 #include <cstdint>
@@ -97,27 +91,5 @@ void write_snapshot_json(std::ostream& out, const MetricsSnapshot& snapshot);
 /// one format.
 bool write_snapshot_json_file(const std::filesystem::path& path,
                               const MetricsSnapshot& snapshot);
-
-/// How two gauge values combine in a merge. Counters always sum and
-/// histograms always add per-bucket; gauges are instantaneous readings, so
-/// the right combination depends on what the gauge measures (active
-/// connections aggregate by sum, a high-water mark by max, ...).
-enum class GaugeMergePolicy { kMax, kMin, kSum, kLast };
-
-struct MergeOptions {
-  GaugeMergePolicy default_gauge = GaugeMergePolicy::kMax;
-  /// Per-name overrides, e.g. {"serve.active_connections", kSum}.
-  std::map<std::string, GaugeMergePolicy> gauge_overrides;
-};
-
-/// Folds `from` into `into`. Histograms present in both must have
-/// identical bounds (std::invalid_argument otherwise, naming the metric);
-/// instruments present in only one side are kept as-is.
-void merge_into(MetricsSnapshot& into, const MetricsSnapshot& from,
-                const MergeOptions& options = {});
-
-/// Convenience: merge of N snapshots (empty input -> empty snapshot).
-[[nodiscard]] MetricsSnapshot merge(const std::vector<MetricsSnapshot>& snapshots,
-                                    const MergeOptions& options = {});
 
 }  // namespace headtalk::obs

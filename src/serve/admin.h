@@ -7,8 +7,8 @@
 // the admin thread:
 //
 //   GET /metrics       Prometheus text exposition (obs/export.h)
-//   GET /metrics.json  mergeable JSON snapshot (the per-shard aggregation
-//                      wire format — obs::parse_snapshot_json reads it)
+//   GET /metrics.json  lossless JSON snapshot (per-bucket histogram
+//                      counts — obs::parse_snapshot_json reads it)
 //   GET /healthz       200 "ok" while the process serves requests at all
 //   GET /readyz        200 "ready" | 503 "not ready" (model loaded and
 //                      not draining; flips the moment a drain starts)

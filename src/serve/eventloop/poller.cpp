@@ -1,21 +1,11 @@
 #include "serve/eventloop/poller.h"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <vector>
-
-#include <poll.h>
-#include <unistd.h>
-
-#if defined(__linux__)
-#define HEADTALK_HAVE_EPOLL 1
-#include <sys/epoll.h>
-#else
-#define HEADTALK_HAVE_EPOLL 0
-#endif
 
 namespace headtalk::serve {
 
@@ -25,173 +15,60 @@ namespace {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
 
-#if HEADTALK_HAVE_EPOLL
-
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epfd_ < 0) throw_errno("epoll_create1");
-  }
-
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  void add(int fd, std::uint32_t interest, void* data) override {
-    epoll_event ev = make_event(interest, data);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) throw_errno("epoll_ctl(ADD)");
-  }
-
-  void modify(int fd, std::uint32_t interest, void* data) override {
-    epoll_event ev = make_event(interest, data);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0) throw_errno("epoll_ctl(MOD)");
-  }
-
-  void remove(int fd) override {
-    // Ignore errors: the fd may already be closed or never registered
-    // (remove() is called from teardown paths that must not throw).
-    epoll_event ev{};
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  int wait(std::span<PollerEvent> out, int timeout_ms) override {
-    if (out.empty()) return 0;
-    scratch_.resize(out.size());
-    int n = ::epoll_wait(epfd_, scratch_.data(), static_cast<int>(scratch_.size()),
-                         timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throw_errno("epoll_wait");
-    }
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = scratch_[static_cast<std::size_t>(i)];
-      PollerEvent& event = out[static_cast<std::size_t>(i)];
-      event.data = ev.data.ptr;
-      event.readable = (ev.events & EPOLLIN) != 0;
-      event.writable = (ev.events & EPOLLOUT) != 0;
-      event.error = (ev.events & (EPOLLERR | EPOLLHUP)) != 0;
-    }
-    return n;
-  }
-
-  PollerBackend backend() const noexcept override { return PollerBackend::kEpoll; }
-
- private:
-  static epoll_event make_event(std::uint32_t interest, void* data) {
-    epoll_event ev{};
-    if (interest & kRead) ev.events |= EPOLLIN;
-    if (interest & kWrite) ev.events |= EPOLLOUT;
-    ev.data.ptr = data;
-    return ev;
-  }
-
-  int epfd_ = -1;
-  std::vector<epoll_event> scratch_;
-};
-
-#endif  // HEADTALK_HAVE_EPOLL
-
-class PollPoller final : public Poller {
- public:
-  void add(int fd, std::uint32_t interest, void* data) override {
-    if (entries_.contains(fd)) throw std::runtime_error("poll add: fd already watched");
-    entries_[fd] = Entry{interest, data};
-    dirty_ = true;
-  }
-
-  void modify(int fd, std::uint32_t interest, void* data) override {
-    auto it = entries_.find(fd);
-    if (it == entries_.end()) throw std::runtime_error("poll modify: fd not watched");
-    it->second = Entry{interest, data};
-    dirty_ = true;
-  }
-
-  void remove(int fd) override {
-    entries_.erase(fd);
-    dirty_ = true;
-  }
-
-  int wait(std::span<PollerEvent> out, int timeout_ms) override {
-    if (out.empty()) return 0;
-    if (dirty_) rebuild();
-    int n = ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throw_errno("poll");
-    }
-    int emitted = 0;
-    for (const pollfd& pfd : pollfds_) {
-      if (pfd.revents == 0) continue;
-      if (emitted == static_cast<int>(out.size())) break;
-      auto it = entries_.find(pfd.fd);
-      if (it == entries_.end()) continue;  // removed since the last rebuild
-      PollerEvent& event = out[static_cast<std::size_t>(emitted)];
-      event.data = it->second.data;
-      event.readable = (pfd.revents & POLLIN) != 0;
-      event.writable = (pfd.revents & POLLOUT) != 0;
-      event.error = (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      ++emitted;
-    }
-    return emitted;
-  }
-
-  PollerBackend backend() const noexcept override { return PollerBackend::kPoll; }
-
- private:
-  struct Entry {
-    std::uint32_t interest = 0;
-    void* data = nullptr;
-  };
-
-  void rebuild() {
-    pollfds_.clear();
-    pollfds_.reserve(entries_.size());
-    for (const auto& [fd, entry] : entries_) {
-      pollfd pfd{};
-      pfd.fd = fd;
-      if (entry.interest & kRead) pfd.events |= POLLIN;
-      if (entry.interest & kWrite) pfd.events |= POLLOUT;
-      pollfds_.push_back(pfd);
-    }
-    dirty_ = false;
-  }
-
-  std::unordered_map<int, Entry> entries_;
-  std::vector<pollfd> pollfds_;
-  bool dirty_ = true;
-};
+epoll_event make_event(std::uint32_t interest, void* data) {
+  epoll_event ev{};
+  if (interest & Poller::kRead) ev.events |= EPOLLIN;
+  if (interest & Poller::kWrite) ev.events |= EPOLLOUT;
+  ev.data.ptr = data;
+  return ev;
+}
 
 }  // namespace
 
-PollerBackend parse_poller_backend(std::string_view text) {
-  if (text == "auto") return PollerBackend::kAuto;
-  if (text == "epoll") return PollerBackend::kEpoll;
-  if (text == "poll") return PollerBackend::kPoll;
-  throw std::runtime_error("unknown poller backend: " + std::string(text) +
-                           " (expected auto|epoll|poll)");
+Poller::Poller() {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) throw_errno("epoll_create1");
 }
 
-std::string_view poller_backend_name(PollerBackend backend) {
-  switch (backend) {
-    case PollerBackend::kAuto: return "auto";
-    case PollerBackend::kEpoll: return "epoll";
-    case PollerBackend::kPoll: return "poll";
-  }
-  return "?";
+Poller::~Poller() {
+  if (epfd_ >= 0) ::close(epfd_);
 }
 
-std::unique_ptr<Poller> Poller::create(PollerBackend backend) {
-#if HEADTALK_HAVE_EPOLL
-  if (backend == PollerBackend::kAuto || backend == PollerBackend::kEpoll) {
-    return std::make_unique<EpollPoller>();
+void Poller::add(int fd, std::uint32_t interest, void* data) {
+  epoll_event ev = make_event(interest, data);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) throw_errno("epoll_ctl(ADD)");
+}
+
+void Poller::modify(int fd, std::uint32_t interest, void* data) {
+  epoll_event ev = make_event(interest, data);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0) throw_errno("epoll_ctl(MOD)");
+}
+
+void Poller::remove(int fd) {
+  // Ignore errors: the fd may already be closed or never registered
+  // (remove() is called from teardown paths that must not throw).
+  epoll_event ev{};
+  (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
+}
+
+int Poller::wait(std::span<PollerEvent> out, int timeout_ms) {
+  if (out.empty()) return 0;
+  scratch_.resize(out.size());
+  const int n = ::epoll_wait(epfd_, scratch_.data(), static_cast<int>(scratch_.size()),
+                             timeout_ms);
+  if (n < 0) {
+    if (errno == EINTR) return 0;
+    throw_errno("epoll_wait");
   }
-#else
-  if (backend == PollerBackend::kEpoll) {
-    throw std::runtime_error("epoll backend not available on this platform");
+  for (int i = 0; i < n; ++i) {
+    const epoll_event& ev = scratch_[static_cast<std::size_t>(i)];
+    PollerEvent& event = out[static_cast<std::size_t>(i)];
+    event.data = ev.data.ptr;
+    event.readable = (ev.events & EPOLLIN) != 0;
+    event.writable = (ev.events & EPOLLOUT) != 0;
+    event.error = (ev.events & (EPOLLERR | EPOLLHUP)) != 0;
   }
-#endif
-  return std::make_unique<PollPoller>();
+  return n;
 }
 
 }  // namespace headtalk::serve

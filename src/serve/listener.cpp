@@ -55,24 +55,11 @@ int make_unix_listener(const std::filesystem::path& path) {
   return fd;
 }
 
-int make_tcp_listener(int port, bool reuseport) {
+int make_tcp_listener(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("serve: socket() failed");
   const int one = 1;
   (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
-      const int err = errno;
-      close_quietly(fd);
-      throw std::runtime_error("serve: SO_REUSEPORT failed: " +
-                               std::string(std::strerror(err)));
-    }
-#else
-    close_quietly(fd);
-    throw std::runtime_error("serve: SO_REUSEPORT not supported on this platform");
-#endif
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));

@@ -1,7 +1,6 @@
-// Socket plumbing shared by the server and the shard front: listener
-// construction (Unix / loopback-TCP, optionally SO_REUSEPORT) and the
-// one-shot reject path used for BUSY / shutting-down frames, so the server
-// and the shard runner bind sockets identically.
+// Socket plumbing for the server: listener construction (Unix /
+// loopback-TCP) and the one-shot reject path used for BUSY /
+// shutting-down frames.
 #pragma once
 
 #include <cstddef>
@@ -17,10 +16,8 @@ namespace headtalk::serve {
 
 /// Binds + listens on 127.0.0.1:<port>. Loopback only: the daemon carries
 /// raw room audio; remote exposure is a deliberate deployment decision
-/// (front it with a real proxy), not a flag. With `reuseport` the socket
-/// is bound SO_REUSEPORT so N shard processes can share the port and let
-/// the kernel spread accepts across them. Throws on failure.
-[[nodiscard]] int make_tcp_listener(int port, bool reuseport = false);
+/// (front it with a real proxy), not a flag. Throws on failure.
+[[nodiscard]] int make_tcp_listener(int port);
 
 /// Best-effort single-shot frame for connections rejected before the server
 /// ever owns them (BUSY / shutting-down): one non-blocking send, then

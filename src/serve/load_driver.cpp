@@ -49,7 +49,7 @@ struct Driver {
   explicit Driver(const LoadDriverConfig& config) : cfg(config) {}
 
   const LoadDriverConfig& cfg;
-  std::unique_ptr<Poller> poller;
+  Poller poller;
   std::vector<Conn> conns;
   std::vector<Conn*> idle;
   std::deque<Clock::time_point> backlog;  ///< scheduled, unassigned arrivals
@@ -68,14 +68,14 @@ struct Driver {
 
   void set_interest(Conn& c, std::uint32_t want) {
     if (want != c.interest) {
-      poller->modify(c.fd, want, &c);
+      poller.modify(c.fd, want, &c);
       c.interest = want;
     }
   }
 
   void close_conn(Conn& c, bool reconnect) {
     if (c.fd >= 0) {
-      poller->remove(c.fd);
+      poller.remove(c.fd);
       close_quietly(c.fd);
       c.fd = -1;
     }
@@ -139,11 +139,11 @@ struct Driver {
     c.fd = fd;
     c.interest = 0;
     if (rc == 0) {
-      poller->add(fd, 0, &c);
+      poller.add(fd, 0, &c);
       begin_send(c, hello_blob, ConnState::kAwaitHelloOk);
     } else {
       c.state = ConnState::kConnecting;
-      poller->add(fd, Poller::kWrite, &c);
+      poller.add(fd, Poller::kWrite, &c);
       c.interest = Poller::kWrite;
     }
   }
@@ -312,7 +312,6 @@ LoadReport Driver::run() {
   if (cfg.socket_path.empty() && cfg.tcp_port <= 0) {
     throw std::runtime_error("load: no target (socket path or tcp port)");
   }
-  poller = Poller::create();
   conns.resize(std::max<std::size_t>(1, cfg.connections));
 
   std::mt19937 rng(cfg.seed);
@@ -441,7 +440,7 @@ LoadReport Driver::run() {
               .count();
       timeout_ms = static_cast<int>(std::clamp<long long>(delta, 0, 100));
     }
-    const int n = poller->wait(events, timeout_ms);
+    const int n = poller.wait(events, timeout_ms);
     for (int i = 0; i < n; ++i) on_event(events[static_cast<std::size_t>(i)]);
   }
 

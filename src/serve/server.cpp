@@ -20,6 +20,7 @@
 #include "core/scoring_workspace.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "serve/eventloop/poller.h"
 #include "serve/listener.h"
 #include "util/thread_pool.h"
 
@@ -83,7 +84,6 @@ class Server::Loop {
     if (::pipe2(wake_pipe_, O_CLOEXEC | O_NONBLOCK) != 0) {
       throw std::runtime_error("serve: pipe2() failed for loop wakeup");
     }
-    poller_ = Poller::create(server_.config_.poller);
   }
 
   ~Loop() {
@@ -122,9 +122,6 @@ class Server::Loop {
   /// Connections dealt to this loop and not yet closed. Counted at
   /// dispatch, so fds still queued in the inbox weigh in at once.
   std::atomic<std::size_t> live{0};
-
-  /// The resolved poller backend (kAuto settled to a concrete one).
-  [[nodiscard]] PollerBackend backend() const noexcept { return poller_->backend(); }
 
  private:
   struct Watch {
@@ -207,7 +204,7 @@ class Server::Loop {
   [[nodiscard]] int poll_timeout_ms() const;
 
   Server& server_;
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   int wake_pipe_[2] = {-1, -1};
   std::thread thread_;
 
@@ -228,11 +225,11 @@ class Server::Loop {
 };
 
 void Server::Loop::run() {
-  poller_->add(wake_pipe_[0], Poller::kRead, &wake_watch_);
+  poller_.add(wake_pipe_[0], Poller::kRead, &wake_watch_);
   // Every loop watches the listeners, so a new connection is accepted by
   // whichever loop is free instead of waiting behind one loop's scoring.
-  if (server_.unix_fd_ >= 0) poller_->add(server_.unix_fd_, Poller::kRead, &unix_watch_);
-  if (server_.tcp_fd_ >= 0) poller_->add(server_.tcp_fd_, Poller::kRead, &tcp_watch_);
+  if (server_.unix_fd_ >= 0) poller_.add(server_.unix_fd_, Poller::kRead, &unix_watch_);
+  if (server_.tcp_fd_ >= 0) poller_.add(server_.tcp_fd_, Poller::kRead, &tcp_watch_);
 
   std::vector<PollerEvent> events(256);
   while (true) {
@@ -240,7 +237,7 @@ void Server::Loop::run() {
       start_drain();
       if (conns_.empty() && lingering_.empty()) break;
     }
-    const int n = poller_->wait(events, poll_timeout_ms());
+    const int n = poller_.wait(events, poll_timeout_ms());
     const auto ready = std::span(events).first(static_cast<std::size_t>(n));
     const auto dispatch_start = Clock::now();
     // Posted tasks run before the ready events, so events that waited
@@ -260,8 +257,8 @@ void Server::Loop::run() {
     }
   }
 
-  // Refuse new tasks, then run what already arrived: adopt tasks observe
-  // the stop flag and reject their fd.
+  // Refuse new tasks, then run what already arrived: make_conn tasks
+  // observe the stop flag and reject their fd.
   {
     std::lock_guard<std::mutex> lock(inbox_mutex_);
     accepting_ = false;
@@ -328,14 +325,13 @@ void Server::Loop::make_conn(int fd, bool tcp) {
   raw->watch.conn = raw;
   raw->session.set_workspace(&workspace_);
   raw->slot = server_.conn_table_.insert();
-  raw->slot->accepted_at = Clock::now();
   raw->slot->touch();
   raw->request_start = Clock::now();
   raw->deadline = raw->request_start +
                   std::chrono::milliseconds(server_.config_.request_deadline_ms);
 
   conns_.emplace(raw->slot->id, std::move(conn));
-  poller_->add(fd, Poller::kRead, &raw->watch);
+  poller_.add(fd, Poller::kRead, &raw->watch);
   raw->interest = Poller::kRead;
 }
 
@@ -464,7 +460,7 @@ void Server::Loop::update_interest(Conn* conn) {
   if (!conn->closing) want |= Poller::kRead;
   if (conn->out_off < conn->out.size()) want |= Poller::kWrite;
   if (want != conn->interest) {
-    poller_->modify(conn->fd, want, &conn->watch);
+    poller_.modify(conn->fd, want, &conn->watch);
     conn->interest = want;
   }
 }
@@ -495,8 +491,8 @@ void Server::Loop::start_drain() {
   drain_started_ = true;
   // Stop accepting: each loop drops the listeners from its poller, and
   // the last to do so closes them, so no loop accepts on a closed fd.
-  if (server_.unix_fd_ >= 0) poller_->remove(server_.unix_fd_);
-  if (server_.tcp_fd_ >= 0) poller_->remove(server_.tcp_fd_);
+  if (server_.unix_fd_ >= 0) poller_.remove(server_.unix_fd_);
+  if (server_.tcp_fd_ >= 0) poller_.remove(server_.tcp_fd_);
   if (server_.listening_loops_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     close_quietly(server_.unix_fd_);
     close_quietly(server_.tcp_fd_);
@@ -544,7 +540,7 @@ void Server::Loop::run_tasks() {
 }
 
 void Server::Loop::destroy(Conn* conn) {
-  poller_->remove(conn->fd);
+  poller_.remove(conn->fd);
   close_quietly(conn->fd);
   release(conn);
   uncount();
@@ -561,7 +557,7 @@ void Server::Loop::linger(Conn* conn) {
   entry->fd = conn->fd;
   entry->until = Clock::now() + kLingerTime;
   entry->watch.conn = entry.get();
-  poller_->modify(entry->fd, Poller::kRead, &entry->watch);
+  poller_.modify(entry->fd, Poller::kRead, &entry->watch);
   lingering_.emplace(entry->fd, std::move(entry));
   release(conn);
 }
@@ -581,7 +577,7 @@ void Server::Loop::discard_input(Linger* entry) {
 
 void Server::Loop::end_linger(Linger* entry) {
   const int fd = entry->fd;
-  poller_->remove(fd);
+  poller_.remove(fd);
   close_quietly(fd);
   lingering_.erase(fd);  // frees entry
   uncount();
@@ -621,7 +617,7 @@ void Server::start() {
     (void)set_nonblocking(unix_fd_);  // accept_ready() loops until EAGAIN
   }
   if (config_.tcp_port > 0) {
-    tcp_fd_ = make_tcp_listener(config_.tcp_port, config_.reuseport);
+    tcp_fd_ = make_tcp_listener(config_.tcp_port);
     (void)set_nonblocking(tcp_fd_);
   }
 
@@ -636,8 +632,7 @@ void Server::start() {
       {{"socket", config_.socket_path.string()},
        {"tcp_port", config_.tcp_port},
        {"loops", loops},
-       {"max_connections", static_cast<std::uint64_t>(config_.max_connections)},
-       {"poller", std::string(poller_backend_name(loops_.front()->backend()))}});
+       {"max_connections", static_cast<std::uint64_t>(config_.max_connections)}});
 }
 
 void Server::request_stop() noexcept {
@@ -693,18 +688,6 @@ ServerStats Server::stats() const {
 
 std::vector<ConnectionInfo> Server::connections() const {
   return conn_table_.snapshot();
-}
-
-void Server::adopt_connection(int fd) {
-  if (fd < 0) return;
-  if (!running()) {
-    send_and_close(fd, encode_error(ErrorCode::kShuttingDown, "server is draining"));
-    return;
-  }
-  // fds arriving over SCM_RIGHTS kept the sender's flags; the reactor
-  // needs them nonblocking.
-  (void)set_nonblocking(fd);
-  dispatch_fd(fd, /*tcp=*/false);
 }
 
 void Server::run_on_each_loop(const std::function<void()>& task) {

@@ -3,12 +3,11 @@
 //
 // Thousands of nonblocking connections are multiplexed over `workers`
 // reactor threads (util::resolve_jobs, so --jobs keeps meaning "threads
-// that score"), each running a Poller (epoll on Linux, poll fallback) over
-// its share of connections:
+// that score"), each running an epoll Poller over its share of
+// connections.
 //
 //   * Every loop watches the listeners; whichever is free accepts and
-//     hands the fd to the loop holding the fewest live connections. A
-//     shard front can inject fds directly via adopt_connection().
+//     hands the fd to the loop holding the fewest live connections.
 //   * Everything about a connection runs on its loop thread: frame
 //     parsing, streaming-mode (auto-endpoint) segmentation and whole-
 //     utterance scoring. END_OF_UTTERANCE calls the pipeline's
@@ -42,21 +41,16 @@
 
 #include "core/pipeline.h"
 #include "serve/conn_table.h"
-#include "serve/eventloop/poller.h"
 #include "serve/session.h"
 
 namespace headtalk::serve {
 
 struct ServerConfig {
   /// Unix-domain socket path; an existing socket file is replaced. Empty
-  /// skips the unix listener, which is how shard children run
-  /// fd-passing-only.
+  /// skips the unix listener (a TCP-only server).
   std::filesystem::path socket_path;
   /// Optional TCP listener on 127.0.0.1:<port>; 0 disables it.
   int tcp_port = 0;
-  /// Bind the TCP listener with SO_REUSEPORT so N shard processes can
-  /// share one port (the kernel load-balances accepts between them).
-  bool reuseport = false;
   /// Reactor threads, each scoring its own connections (0 =
   /// util::resolve_jobs auto default).
   unsigned workers = 0;
@@ -66,7 +60,6 @@ struct ServerConfig {
   /// Per-utterance deadline: from the previous response (or accept) to the
   /// DECISION. Expiry sends ERROR deadline-exceeded and closes.
   int request_deadline_ms = 10000;
-  PollerBackend poller = PollerBackend::kAuto;
   SessionLimits session{};
 };
 
@@ -120,13 +113,6 @@ class Server {
   /// Snapshot of the live per-connection table (never blocks a loop).
   [[nodiscard]] std::vector<ConnectionInfo> connections() const;
 
-  /// Hands the server an already-accepted unix-socket connection fd (the
-  /// shard front's SCM_RIGHTS path). The server owns the fd from here on —
-  /// it is served like a locally-accepted connection, answered BUSY +
-  /// closed at max_connections, or closed outright when the server is
-  /// stopping.
-  void adopt_connection(int fd);
-
   /// Runs `task` once on every loop thread, after what each loop has
   /// already queued. A task that blocks holds its loop (and every
   /// connection on it) still, which is how tests park an utterance behind
@@ -136,7 +122,7 @@ class Server {
  private:
   class Loop;
 
-  /// Routes a freshly-accepted/adopted fd: BUSY when saturated, shutdown
+  /// Routes a freshly-accepted fd: BUSY when saturated, shutdown
   /// notice when draining, else to the least-loaded loop. Takes fd
   /// ownership; `tcp` marks an fd from the TCP listener.
   void dispatch_fd(int fd, bool tcp);

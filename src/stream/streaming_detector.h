@@ -40,7 +40,7 @@ struct StreamingDetectorConfig {
   /// (needed by tenant-scoped serving for speaker-identity matching).
   bool capture_features = false;
   /// Absolute sample-frame index of the first frame this detector will be
-  /// fed — a resumed or sharded stream keeps globally consistent event
+  /// fed — a resumed or split stream keeps globally consistent event
   /// timestamps by passing its offset here. All DecisionEvent frame fields
   /// (and seconds, computed from them) are absolute under this origin; the
   /// arithmetic is 64-bit throughout, so origins past 2^32 are exact.

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "dsp/fractional_delay.h"
+#include "dsp/srp.h"
+#include "obs/metrics.h"
 
 namespace headtalk::core {
 namespace {
@@ -98,6 +101,85 @@ TEST(OrientationFeatures, SilentCaptureDoesNotBlowUp) {
   audio::MultiBuffer silent(4, 4096, 48000.0);
   const auto f = e.extract(silent);
   for (double v : f) EXPECT_TRUE(std::isfinite(v));
+}
+
+// The operator's coherence floor (OrientationFeatureConfig::coherence_floor)
+// on three channels: two coupled (one a delayed copy of the other) and one
+// independent noise capsule. Layout for 3 channels and a 13-lag window:
+// 3 SRP peaks + 5 SRP stats, then 3 pairs x 27 GCC values, then 3 TDoAs.
+constexpr int kPruneLag = 13;
+constexpr std::size_t kPruneWindow = 2 * kPruneLag + 1;
+constexpr std::size_t kPruneGccStart = 3 + 5;
+constexpr std::size_t kPruneTdoaStart = kPruneGccStart + 3 * kPruneWindow;
+
+audio::MultiBuffer three_channel_capture(bool third_coupled) {
+  const auto base = random_capture(1, 16384, 6).channel(0);
+  const auto delayed = [&base](double samples) {
+    return audio::Buffer(dsp::fractional_delay(base.samples(), samples), 48000.0);
+  };
+  return audio::MultiBuffer(std::vector<audio::Buffer>{
+      base, delayed(2.0),
+      third_coupled ? delayed(4.0) : random_capture(1, 16384, 99).channel(0)});
+}
+
+std::uint64_t pairs_pruned() {
+  return obs::Registry::global().counter("dsp.srp.pairs_pruned").value();
+}
+
+ml::FeatureVector extract_with_floor(const audio::MultiBuffer& capture, double floor) {
+  OrientationFeatureConfig cfg;
+  cfg.max_lag = kPruneLag;
+  cfg.coherence_floor = floor;
+  return OrientationFeatureExtractor(cfg).extract(capture);
+}
+
+std::vector<double> gcc_window(const ml::FeatureVector& f, std::size_t pair) {
+  const auto* begin = f.data() + kPruneGccStart + pair * kPruneWindow;
+  return {begin, begin + kPruneWindow};
+}
+
+TEST(PairwiseGcc, CoherenceFloorPrunesDecorrelatedPair) {
+  // With a floor set, both pairs involving the noise capsule measure block
+  // coherence near 1/64 and are pruned; the coupled pair stays. The
+  // pruned-pair counter rises by exactly the two noise pairs.
+  const std::uint64_t before = pairs_pruned();
+  const auto f = extract_with_floor(three_channel_capture(false), 0.2);
+  EXPECT_EQ(pairs_pruned() - before, 2u);
+
+  const auto coupled = gcc_window(f, 0);  // (0,1)
+  EXPECT_DOUBLE_EQ(f[kPruneTdoaStart + 0], -2.0);  // channel 1 lags channel 0
+  for (std::size_t p : {std::size_t{1}, std::size_t{2}}) {  // (0,2), (1,2)
+    for (double v : gcc_window(f, p)) EXPECT_DOUBLE_EQ(v, 0.0) << "pair " << p;
+    EXPECT_DOUBLE_EQ(f[kPruneTdoaStart + p], 0.0) << "pair " << p;
+  }
+  // Pruned pairs contribute nothing: the SRP peaks are the surviving
+  // pair's alone.
+  const auto peaks = dsp::top_peaks(coupled, 3);
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_DOUBLE_EQ(f[k], peaks[k]) << "peak " << k;
+
+  // A capture whose channels are all coupled prunes none.
+  const std::uint64_t coupled_before = pairs_pruned();
+  const auto g = extract_with_floor(three_channel_capture(true), 0.2);
+  EXPECT_EQ(pairs_pruned(), coupled_before);
+  for (std::size_t p = 0; p < 3; ++p) {
+    const auto window = gcc_window(g, p);
+    EXPECT_TRUE(std::any_of(window.begin(), window.end(),
+                            [](double v) { return v != 0.0; }))
+        << "pair " << p;
+  }
+}
+
+TEST(PairwiseGcc, ZeroFloorDisablesCoherenceEstimate) {
+  // Floor 0 keeps every pair, the noise capsule's included.
+  const std::uint64_t before = pairs_pruned();
+  const auto f = extract_with_floor(three_channel_capture(false), 0.0);
+  EXPECT_EQ(pairs_pruned(), before);
+  for (std::size_t p = 0; p < 3; ++p) {
+    const auto window = gcc_window(f, p);
+    EXPECT_TRUE(std::any_of(window.begin(), window.end(),
+                            [](double v) { return v != 0.0; }))
+        << "pair " << p;
+  }
 }
 
 }  // namespace

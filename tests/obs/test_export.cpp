@@ -1,6 +1,5 @@
-// Exposition and aggregation of metrics snapshots (obs/export.h): exact
-// Prometheus text, JSON round-trips, and the merge semantics the per-shard
-// aggregation story depends on.
+// Exposition of metrics snapshots (obs/export.h): exact Prometheus text,
+// JSON round-trips, and the quantile estimator applied to shipped data.
 #include "obs/export.h"
 
 #include <gtest/gtest.h>
@@ -92,78 +91,6 @@ TEST(MetricsExportTest, ParseRejectsStructurallyWrongSnapshots) {
           "{\"counters\":{},\"gauges\":{},\"histograms\":"
           "{\"h\":{\"bounds\":[1,2],\"buckets\":[0,0],\"count\":0,\"sum\":0}}}"),
       std::invalid_argument);
-}
-
-TEST(MetricsExportTest, MergeOfThreeSnapshotsMatchesPooledRecount) {
-  // Three "shards" observe disjoint slices of one pooled stream; merging
-  // their snapshots must equal a single registry that saw everything.
-  const std::vector<double> bounds = {0.001, 0.01, 0.1, 1.0};
-  std::mt19937 rng(42);
-  std::lognormal_distribution<double> latency(-5.0, 2.0);
-
-  Registry pooled;
-  Histogram& pooled_h = pooled.histogram("lat", bounds);
-  Counter& pooled_c = pooled.counter("events");
-
-  std::vector<MetricsSnapshot> shards;
-  for (int shard = 0; shard < 3; ++shard) {
-    Registry registry;
-    Histogram& h = registry.histogram("lat", bounds);
-    Counter& c = registry.counter("events");
-    const int n = 100 + 37 * shard;
-    for (int i = 0; i < n; ++i) {
-      const double value = latency(rng);
-      h.observe(value);
-      pooled_h.observe(value);
-      c.increment();
-      pooled_c.increment();
-    }
-    shards.push_back(snapshot(registry));
-  }
-
-  const MetricsSnapshot merged = merge(shards);
-  const MetricsSnapshot expected = snapshot(pooled);
-  EXPECT_EQ(merged.counters.at("events"), expected.counters.at("events"));
-  const HistogramSnapshot& mh = merged.histograms.at("lat");
-  const HistogramSnapshot& eh = expected.histograms.at("lat");
-  EXPECT_EQ(mh.bounds, eh.bounds);
-  EXPECT_EQ(mh.buckets, eh.buckets);
-  EXPECT_EQ(mh.count, eh.count);
-  EXPECT_DOUBLE_EQ(mh.sum, eh.sum);
-  // And the estimator agrees on the merged data.
-  EXPECT_DOUBLE_EQ(snapshot_quantile(mh, 0.95), snapshot_quantile(eh, 0.95));
-}
-
-TEST(MetricsExportTest, MergeAppliesGaugePolicies) {
-  MetricsSnapshot a, b;
-  a.gauges = {{"hw", 3.0}, {"lo", 3.0}, {"total", 3.0}, {"last", 3.0}};
-  b.gauges = {{"hw", 5.0}, {"lo", 5.0}, {"total", 5.0}, {"last", 5.0}};
-  MergeOptions options;  // default kMax
-  options.gauge_overrides = {{"lo", GaugeMergePolicy::kMin},
-                             {"total", GaugeMergePolicy::kSum},
-                             {"last", GaugeMergePolicy::kLast}};
-  merge_into(a, b, options);
-  EXPECT_DOUBLE_EQ(a.gauges.at("hw"), 5.0);
-  EXPECT_DOUBLE_EQ(a.gauges.at("lo"), 3.0);
-  EXPECT_DOUBLE_EQ(a.gauges.at("total"), 8.0);
-  EXPECT_DOUBLE_EQ(a.gauges.at("last"), 5.0);
-}
-
-TEST(MetricsExportTest, MergeKeepsOneSidedInstruments) {
-  MetricsSnapshot a, b;
-  a.counters = {{"only.a", 1}};
-  b.counters = {{"only.b", 2}};
-  merge_into(a, b);
-  EXPECT_EQ(a.counters.at("only.a"), 1u);
-  EXPECT_EQ(a.counters.at("only.b"), 2u);
-}
-
-TEST(MetricsExportTest, MergeThrowsOnBoundsMismatch) {
-  Registry r1, r2;
-  r1.histogram("h", {1.0, 2.0}).observe(0.5);
-  r2.histogram("h", {1.0, 3.0}).observe(0.5);
-  MetricsSnapshot into = snapshot(r1);
-  EXPECT_THROW(merge_into(into, snapshot(r2)), std::invalid_argument);
 }
 
 TEST(MetricsExportTest, SnapshotQuantileInterpolatesAndClampsOverflow) {

@@ -1,7 +1,8 @@
 // End-to-end daemon tests over real Unix sockets: concurrent-client
 // stress (every client gets exactly one well-formed DECISION), BUSY
 // backpressure at the connection cap, graceful drain that still answers
-// the in-flight utterance, and per-utterance deadline expiry.
+// the in-flight utterance, per-utterance deadline expiry, an ERROR frame
+// for malformed bytes, and a stop that is idempotent and final.
 #include "serve/server.h"
 
 #include <unistd.h>

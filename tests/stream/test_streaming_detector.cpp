@@ -174,7 +174,7 @@ TEST(StreamingDetector, EmitsOneDecisionPerBurstMatchingOfflineScoring) {
 }
 
 TEST(StreamingDetector, StartFrameOffsetsEventsExactlyEvenPast32Bits) {
-  // Satellite: a resumed/sharded stream passes its absolute origin via
+  // A resumed or split stream passes its absolute origin via
   // start_frame. Events must shift by exactly that origin — with every
   // product kept in 64 bits, so an origin near 2^32 (where a truncated
   // frame*length multiply would wrap) stays exact — and the second

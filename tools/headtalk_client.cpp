@@ -14,10 +14,7 @@
 // The admin modes talk to the daemon's telemetry plane instead of scoring:
 // --admin-get TARGET prints one response body (nonzero exit unless HTTP
 // 200), and --watch polls /metrics.json + /stats.json every --interval-ms,
-// rendering a refreshing per-stage latency / qps view. --admin-merge
-// "sockA,sockB,..." scrapes /metrics.json from several daemons (e.g. the
-// per-shard admin planes of `headtalk_serve --shards N`) and prints one
-// obs::merge'd snapshot.
+// rendering a refreshing per-stage latency / qps view.
 //
 // The load mode holds whole fleets open from a single thread:
 //
@@ -208,31 +205,6 @@ int run_watch(const cli::ArgParser& args) {
   return 0;
 }
 
-/// --admin-merge "sockA,sockB,...": scrape /metrics.json from each admin
-/// socket and print one merged snapshot — counters sum, histograms add
-/// bucket-wise — as JSON. This is how the per-shard planes of
-/// `headtalk_serve --shards N` fold back into a single fleet view.
-int run_admin_merge(const std::string& spec) {
-  std::vector<obs::MetricsSnapshot> snapshots;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) continue;
-    const serve::AdminFetch fetch = serve::admin_get_unix(item, "/metrics.json");
-    if (fetch.status != 200) {
-      std::fprintf(stderr, "admin-merge: %s /metrics.json: HTTP %d\n", item.c_str(),
-                   fetch.status);
-      return 1;
-    }
-    snapshots.push_back(obs::parse_snapshot_json(fetch.body));
-  }
-  if (snapshots.empty()) throw cli::ArgsError("--admin-merge: no sockets given");
-  const obs::MetricsSnapshot merged = obs::merge(snapshots);
-  std::fputs(obs::to_snapshot_json(merged).c_str(), stdout);
-  std::fprintf(stderr, "admin-merge: merged %zu shard snapshots\n", snapshots.size());
-  return 0;
-}
-
 double latency_percentile(std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
@@ -364,10 +336,6 @@ int main(int argc, char** argv) {
   args.add_switch("--watch", "poll the admin plane and render a live stage/qps view");
   args.add_flag("--interval-ms", "--watch poll interval", "1000");
   args.add_flag("--watch-count", "--watch frames before exiting (0 = forever)", "0");
-  args.add_flag("--admin-merge",
-                "comma-separated admin unix sockets: scrape /metrics.json from "
-                "each and print one obs::merge'd snapshot (per-shard planes)",
-                "");
   args.add_flag("--clients",
                 "load mode: hold this many concurrent connections from one "
                 "thread via the multiplexed load driver (0 = off)",
@@ -413,9 +381,6 @@ int main(int argc, char** argv) {
       return run_assert_p95(args, args.get("--assert-p95"));
     }
     if (args.get_switch("--watch")) return run_watch(args);
-    if (!args.get("--admin-merge").empty()) {
-      return run_admin_merge(args.get("--admin-merge"));
-    }
     if (args.get_int("--clients") > 0) return run_load_mode(args);
 
     const auto wavs = parse_wavs(args.get("--wav"));

@@ -3,12 +3,13 @@
 #
 #   tools/run_serve_scale_smoke.sh [build-dir]
 #
-# Walks every bench_serve_scale phase — forked SO_REUSEPORT shard fleets,
-# per-shard admin scrape + obs::merge equality, and the open-loop
-# multiplexed load phase — with the fleet scaled down to smoke size (64
-# concurrent connections instead of 1000), then validates the appended
-# BENCH_serve_scale.json record against the checked-in shape schema.
-# Wired into ctest as `serve_scale_smoke` (label: serve-scale-smoke).
+# Walks every bench_serve_scale phase — the steady-state 2 -> 4 loop
+# scaling windows with their >=1.7x gate, and the open-loop multiplexed
+# load phase — with the load scaled down to smoke size (1 s scaling
+# windows instead of 2 s, 64 concurrent connections instead of 1000), then
+# validates the appended BENCH_serve_scale.json record against the
+# checked-in shape schema. Wired into ctest as `serve_scale_smoke` (label:
+# serve-scale-smoke).
 set -eu
 
 repo_dir=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -27,8 +28,7 @@ done
 export HEADTALK_SCALE_BENCH_CLIENTS=64
 export HEADTALK_SCALE_BENCH_RPS=60
 export HEADTALK_SCALE_BENCH_UTTERANCES=180
-export HEADTALK_SCALE_BENCH_SHARD_CLIENTS=16
-export HEADTALK_SCALE_BENCH_SHARD_UTTERANCES=64
+export HEADTALK_SCALE_BENCH_WINDOW_MS=1000
 
 out_dir="$build_dir/bench/scale-smoke-out"
 rm -rf "$out_dir"
