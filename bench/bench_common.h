@@ -21,10 +21,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/liveness_detector.h"
+#include "core/liveness_features.h"
+#include "core/orientation_classifier.h"
+#include "core/orientation_features.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "sim/collector.h"
@@ -39,6 +44,61 @@ namespace headtalk::bench {
 /// every bench (and rerun) sees the same simulated world, with the on-disk
 /// feature cache on so render cost is shared across binaries.
 inline sim::Collector make_collector() { return sim::Collector(sim::CollectorConfig{}); }
+
+/// A positive integer knob from the environment: `fallback` when the
+/// variable is unset, empty or not a positive number.
+inline unsigned env_or(const char* name, unsigned fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  const long value = std::strtol(env, nullptr, 10);
+  return value > 0 ? static_cast<unsigned>(value) : fallback;
+}
+
+/// The value at rank floor(q * (n - 1)) of an ascending sample; 0 if empty.
+inline double sorted_quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const auto rank =
+      static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
+  return sorted[rank];
+}
+
+/// 80 + 80 synthetic feature vectors of dimension `dim`: N(+1, 1) labelled
+/// `positive`, N(-1, 1) labelled `negative`, drawn from `seed`.
+inline ml::Dataset synthetic_dataset(std::size_t dim, unsigned seed, int positive,
+                                     int negative) {
+  std::mt19937 rng(seed);
+  std::normal_distribution<double> g(0.0, 1.0);
+  ml::Dataset data;
+  for (int i = 0; i < 80; ++i) {
+    ml::FeatureVector a(dim), b(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      a[j] = g(rng) + 1.0;
+      b[j] = g(rng) - 1.0;
+    }
+    data.add(std::move(a), positive);
+    data.add(std::move(b), negative);
+  }
+  return data;
+}
+
+/// The orientation SVM fit to synthetic features of the pipeline's
+/// dimension (4 channels, seed 1). Scoring cost depends on the feature
+/// dimension and model size, not on how the models were fit, so the
+/// runtime and serving benches skip rendering a training corpus.
+inline core::OrientationClassifier make_orientation() {
+  core::OrientationClassifier clf;
+  clf.train(synthetic_dataset(core::OrientationFeatureExtractor().dimension(4), 1,
+                              core::kLabelFacing, core::kLabelNonFacing));
+  return clf;
+}
+
+/// The liveness MLP fit the same way (seed 2).
+inline core::LivenessDetector make_liveness() {
+  core::LivenessDetector det;
+  det.train(synthetic_dataset(core::LivenessFeatureExtractor().dimension(), 2,
+                              core::kLabelLive, core::kLabelReplay));
+  return det;
+}
 
 /// Records one perf record per bench process, written at exit.
 ///

@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <random>
 
 #include <algorithm>
 #include <cmath>
@@ -53,50 +52,12 @@ const audio::MultiBuffer& capture() {
 }
 
 core::OrientationClassifier& trained_orientation() {
-  static core::OrientationClassifier instance = [] {
-    // A small synthetic training set: runtime depends on support-vector
-    // count and feature dimension, both matched to the real pipeline.
-    core::OrientationFeatureExtractor extractor;
-    const auto dim = extractor.dimension(4);
-    std::mt19937 rng(1);
-    std::normal_distribution<double> g(0.0, 1.0);
-    ml::Dataset data;
-    for (int i = 0; i < 80; ++i) {
-      ml::FeatureVector a(dim), b(dim);
-      for (std::size_t j = 0; j < dim; ++j) {
-        a[j] = g(rng) + 1.0;
-        b[j] = g(rng) - 1.0;
-      }
-      data.add(std::move(a), core::kLabelFacing);
-      data.add(std::move(b), core::kLabelNonFacing);
-    }
-    core::OrientationClassifier clf;
-    clf.train(data);
-    return clf;
-  }();
+  static core::OrientationClassifier instance = bench::make_orientation();
   return instance;
 }
 
 core::LivenessDetector& trained_liveness() {
-  static core::LivenessDetector instance = [] {
-    core::LivenessFeatureExtractor extractor;
-    const auto dim = extractor.dimension();
-    std::mt19937 rng(2);
-    std::normal_distribution<double> g(0.0, 1.0);
-    ml::Dataset data;
-    for (int i = 0; i < 80; ++i) {
-      ml::FeatureVector a(dim), b(dim);
-      for (std::size_t j = 0; j < dim; ++j) {
-        a[j] = g(rng) + 1.0;
-        b[j] = g(rng) - 1.0;
-      }
-      data.add(std::move(a), core::kLabelLive);
-      data.add(std::move(b), core::kLabelReplay);
-    }
-    core::LivenessDetector det;
-    det.train(data);
-    return det;
-  }();
+  static core::LivenessDetector instance = bench::make_liveness();
   return instance;
 }
 

@@ -37,10 +37,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,56 +51,6 @@
 using namespace headtalk;
 
 namespace {
-
-unsigned env_or(const char* name, unsigned fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const long value = std::strtol(env, nullptr, 10);
-  return value > 0 ? static_cast<unsigned>(value) : fallback;
-}
-
-// Same synthetic-training shortcut as bench_serve_throughput: serving cost
-// depends on feature dimension and model size, not on how the models were
-// fit.
-core::OrientationClassifier make_orientation() {
-  core::OrientationFeatureExtractor extractor;
-  const auto dim = extractor.dimension(4);
-  std::mt19937 rng(1);
-  std::normal_distribution<double> g(0.0, 1.0);
-  ml::Dataset data;
-  for (int i = 0; i < 80; ++i) {
-    ml::FeatureVector a(dim), b(dim);
-    for (std::size_t j = 0; j < dim; ++j) {
-      a[j] = g(rng) + 1.0;
-      b[j] = g(rng) - 1.0;
-    }
-    data.add(std::move(a), core::kLabelFacing);
-    data.add(std::move(b), core::kLabelNonFacing);
-  }
-  core::OrientationClassifier clf;
-  clf.train(data);
-  return clf;
-}
-
-core::LivenessDetector make_liveness() {
-  core::LivenessFeatureExtractor extractor;
-  const auto dim = extractor.dimension();
-  std::mt19937 rng(2);
-  std::normal_distribution<double> g(0.0, 1.0);
-  ml::Dataset data;
-  for (int i = 0; i < 80; ++i) {
-    ml::FeatureVector a(dim), b(dim);
-    for (std::size_t j = 0; j < dim; ++j) {
-      a[j] = g(rng) + 1.0;
-      b[j] = g(rng) - 1.0;
-    }
-    data.add(std::move(a), core::kLabelLive);
-    data.add(std::move(b), core::kLabelReplay);
-  }
-  core::LivenessDetector det;
-  det.train(data);
-  return det;
-}
 
 struct Knobs {
   unsigned clients, rps, utterances, jobs, frames, window_ms;
@@ -138,13 +86,6 @@ bool report_clean(const serve::LoadReport& report, std::uint64_t expected,
                  static_cast<unsigned long long>(report.abandoned));
   }
   return ok;
-}
-
-double sorted_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank =
-      static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
 }
 
 struct SideRps {
@@ -226,14 +167,15 @@ int main() {
                      "serve::Server: 1000-connection load and 2 -> 4 loop scaling");
 
   Knobs knobs;
-  knobs.clients = env_or("HEADTALK_SCALE_BENCH_CLIENTS", 1000);
-  knobs.rps = env_or("HEADTALK_SCALE_BENCH_RPS", 120);
-  knobs.utterances = env_or("HEADTALK_SCALE_BENCH_UTTERANCES", 1200);
-  knobs.jobs = env_or("HEADTALK_SCALE_BENCH_JOBS", 2);
-  knobs.frames = env_or("HEADTALK_SCALE_BENCH_FRAMES", 4800);
-  knobs.window_ms = env_or("HEADTALK_SCALE_BENCH_WINDOW_MS", 2000);
+  knobs.clients = bench::env_or("HEADTALK_SCALE_BENCH_CLIENTS", 1000);
+  knobs.rps = bench::env_or("HEADTALK_SCALE_BENCH_RPS", 120);
+  knobs.utterances = bench::env_or("HEADTALK_SCALE_BENCH_UTTERANCES", 1200);
+  knobs.jobs = bench::env_or("HEADTALK_SCALE_BENCH_JOBS", 2);
+  knobs.frames = bench::env_or("HEADTALK_SCALE_BENCH_FRAMES", 4800);
+  knobs.window_ms = bench::env_or("HEADTALK_SCALE_BENCH_WINDOW_MS", 2000);
 
-  const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
+  const core::HeadTalkPipeline pipeline(bench::make_orientation(),
+                                        bench::make_liveness());
 
   // ---- Phase 1: 2 -> 4 loops in one process, closed loop, steady state.
   std::array<SideRps, kScalingLoops.size()> sides{};
@@ -282,9 +224,9 @@ int main() {
 
   std::vector<double> latencies = report.latencies_seconds;
   std::sort(latencies.begin(), latencies.end());
-  const double p50 = sorted_quantile(latencies, 0.50);
-  const double p95 = sorted_quantile(latencies, 0.95);
-  const double p99 = sorted_quantile(latencies, 0.99);
+  const double p50 = bench::sorted_quantile(latencies, 0.50);
+  const double p95 = bench::sorted_quantile(latencies, 0.95);
+  const double p99 = bench::sorted_quantile(latencies, 0.99);
 
   std::printf("scale   : %zu concurrent conns, %llu decisions open-loop @ %.0f rps offered\n",
               report.peak_open_connections,

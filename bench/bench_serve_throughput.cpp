@@ -23,8 +23,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <random>
 #include <thread>
 
 #include "bench_common.h"
@@ -37,55 +35,6 @@
 using namespace headtalk;
 
 namespace {
-
-unsigned env_or(const char* name, unsigned fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const long value = std::strtol(env, nullptr, 10);
-  return value > 0 ? static_cast<unsigned>(value) : fallback;
-}
-
-// Same synthetic-training shortcut as bench_runtime: scoring cost depends
-// on feature dimension and model size, not on how the models were fit.
-core::OrientationClassifier make_orientation() {
-  core::OrientationFeatureExtractor extractor;
-  const auto dim = extractor.dimension(4);
-  std::mt19937 rng(1);
-  std::normal_distribution<double> g(0.0, 1.0);
-  ml::Dataset data;
-  for (int i = 0; i < 80; ++i) {
-    ml::FeatureVector a(dim), b(dim);
-    for (std::size_t j = 0; j < dim; ++j) {
-      a[j] = g(rng) + 1.0;
-      b[j] = g(rng) - 1.0;
-    }
-    data.add(std::move(a), core::kLabelFacing);
-    data.add(std::move(b), core::kLabelNonFacing);
-  }
-  core::OrientationClassifier clf;
-  clf.train(data);
-  return clf;
-}
-
-core::LivenessDetector make_liveness() {
-  core::LivenessFeatureExtractor extractor;
-  const auto dim = extractor.dimension();
-  std::mt19937 rng(2);
-  std::normal_distribution<double> g(0.0, 1.0);
-  ml::Dataset data;
-  for (int i = 0; i < 80; ++i) {
-    ml::FeatureVector a(dim), b(dim);
-    for (std::size_t j = 0; j < dim; ++j) {
-      a[j] = g(rng) + 1.0;
-      b[j] = g(rng) - 1.0;
-    }
-    data.add(std::move(a), core::kLabelLive);
-    data.add(std::move(b), core::kLabelReplay);
-  }
-  core::LivenessDetector det;
-  det.train(data);
-  return det;
-}
 
 struct PhaseResult {
   std::vector<double> latencies;  ///< sorted, client-observed per-utterance
@@ -169,21 +118,14 @@ PhaseResult run_clients(serve::Server& server, const std::filesystem::path& sock
   return result;
 }
 
-double sorted_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank =
-      static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
-
 }  // namespace
 
 int main() {
   bench::print_title("serve_throughput",
                      "inference daemon RPS and latency under concurrent clients");
 
-  const unsigned clients = env_or("HEADTALK_SERVE_BENCH_CLIENTS", 8);
-  const unsigned utterances = env_or("HEADTALK_SERVE_BENCH_UTTERANCES", 12);
+  const unsigned clients = bench::env_or("HEADTALK_SERVE_BENCH_CLIENTS", 8);
+  const unsigned utterances = bench::env_or("HEADTALK_SERVE_BENCH_UTTERANCES", 12);
 
   // One rendered capture, replayed by every client: the server still does
   // the full preprocess + feature + score work per utterance.
@@ -194,7 +136,8 @@ int main() {
   spec.location = {sim::GridRadial::kMiddle, 3.0};
   const audio::MultiBuffer capture = collector.capture(spec);
 
-  const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
+  const core::HeadTalkPipeline pipeline(bench::make_orientation(),
+                                        bench::make_liveness());
 
   // Local score_capture baseline: the same utterances scored in-process on
   // a warm workspace, no socket. The gap to the daemon's per-decision wall
@@ -232,10 +175,10 @@ int main() {
     return 1;
   }
   const double rps = static_cast<double>(plain.latencies.size()) / plain.wall;
-  const double p50 = sorted_quantile(plain.latencies, 0.50);
-  const double p95 = sorted_quantile(plain.latencies, 0.95);
-  const double p99 = sorted_quantile(plain.latencies, 0.99);
-  const double hello_p95 = sorted_quantile(plain.hello_latencies, 0.95);
+  const double p50 = bench::sorted_quantile(plain.latencies, 0.50);
+  const double p95 = bench::sorted_quantile(plain.latencies, 0.95);
+  const double p99 = bench::sorted_quantile(plain.latencies, 0.99);
+  const double hello_p95 = bench::sorted_quantile(plain.hello_latencies, 0.95);
 
   std::printf("clients %u  utterances/client %u  workers auto\n", clients, utterances);
   std::printf("decisions %llu  wall %.2f s  RPS %.2f\n",
@@ -302,7 +245,7 @@ int main() {
   const double rps_with_scraper =
       scraped.wall > 0.0 ? static_cast<double>(scraped.latencies.size()) / scraped.wall
                          : 0.0;
-  const double scrape_p95 = sorted_quantile(scrape_seconds, 0.95);
+  const double scrape_p95 = bench::sorted_quantile(scrape_seconds, 0.95);
   std::printf("with scraper: RPS %.2f (plain %.2f)  scrapes %zu  scrape p95 %.2f ms\n",
               rps_with_scraper, rps, scrape_seconds.size(), 1000.0 * scrape_p95);
 

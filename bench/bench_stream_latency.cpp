@@ -14,7 +14,6 @@
 // (default 1) and $HEADTALK_STREAM_BENCH_CHUNK_MS sets push granularity
 // (default 100).
 #include <algorithm>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "core/pipeline.h"
@@ -25,13 +24,6 @@
 using namespace headtalk;
 
 namespace {
-
-unsigned env_or(const char* name, unsigned fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const long value = std::strtol(env, nullptr, 10);
-  return value > 0 ? static_cast<unsigned>(value) : fallback;
-}
 
 ml::Dataset to_dataset(const std::vector<sim::OrientationSample>& samples, int label) {
   ml::Dataset d;
@@ -45,8 +37,8 @@ int main() {
   bench::print_title("stream_latency",
                      "streaming segmentation recall + decision latency");
 
-  const unsigned rounds = env_or("HEADTALK_STREAM_BENCH_ROUNDS", 1);
-  const unsigned chunk_ms = env_or("HEADTALK_STREAM_BENCH_CHUNK_MS", 100);
+  const unsigned rounds = bench::env_or("HEADTALK_STREAM_BENCH_ROUNDS", 1);
+  const unsigned chunk_ms = bench::env_or("HEADTALK_STREAM_BENCH_CHUNK_MS", 100);
   auto collector = bench::make_collector();
 
   // --- A small real pipeline (cached features make reruns cheap) ---

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <random>
 #include <thread>
 
@@ -39,55 +38,6 @@
 using namespace headtalk;
 
 namespace {
-
-unsigned env_or(const char* name, unsigned fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const long value = std::strtol(env, nullptr, 10);
-  return value > 0 ? static_cast<unsigned>(value) : fallback;
-}
-
-// Synthetic-training shortcut shared with bench_serve_throughput: serving
-// cost depends on model size, not on how the models were fit.
-core::OrientationClassifier make_orientation() {
-  core::OrientationFeatureExtractor extractor;
-  const auto dim = extractor.dimension(4);
-  std::mt19937 rng(1);
-  std::normal_distribution<double> g(0.0, 1.0);
-  ml::Dataset data;
-  for (int i = 0; i < 80; ++i) {
-    ml::FeatureVector a(dim), b(dim);
-    for (std::size_t j = 0; j < dim; ++j) {
-      a[j] = g(rng) + 1.0;
-      b[j] = g(rng) - 1.0;
-    }
-    data.add(std::move(a), core::kLabelFacing);
-    data.add(std::move(b), core::kLabelNonFacing);
-  }
-  core::OrientationClassifier clf;
-  clf.train(data);
-  return clf;
-}
-
-core::LivenessDetector make_liveness() {
-  core::LivenessFeatureExtractor extractor;
-  const auto dim = extractor.dimension();
-  std::mt19937 rng(2);
-  std::normal_distribution<double> g(0.0, 1.0);
-  ml::Dataset data;
-  for (int i = 0; i < 80; ++i) {
-    ml::FeatureVector a(dim), b(dim);
-    for (std::size_t j = 0; j < dim; ++j) {
-      a[j] = g(rng) + 1.0;
-      b[j] = g(rng) - 1.0;
-    }
-    data.add(std::move(a), core::kLabelLive);
-    data.add(std::move(b), core::kLabelReplay);
-  }
-  core::LivenessDetector det;
-  det.train(data);
-  return det;
-}
 
 tenant::SpeakerProfile make_profile(const std::string& tenant_id, unsigned seed) {
   std::mt19937 rng(seed);
@@ -186,23 +136,16 @@ PhaseResult run_clients(const std::filesystem::path& socket_path,
   return result;
 }
 
-double sorted_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank =
-      static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
-
 }  // namespace
 
 int main() {
   bench::print_title("tenant_serve",
                      "1k-tenant store load, lookup percentiles, AUTH'd serving RPS");
 
-  const unsigned tenant_count = env_or("HEADTALK_TENANT_BENCH_TENANTS", 1000);
-  const unsigned clients = env_or("HEADTALK_TENANT_BENCH_CLIENTS", 8);
-  const unsigned utterances = env_or("HEADTALK_TENANT_BENCH_UTTERANCES", 3);
-  const unsigned lookups = env_or("HEADTALK_TENANT_BENCH_LOOKUPS", 100000);
+  const unsigned tenant_count = bench::env_or("HEADTALK_TENANT_BENCH_TENANTS", 1000);
+  const unsigned clients = bench::env_or("HEADTALK_TENANT_BENCH_CLIENTS", 8);
+  const unsigned utterances = bench::env_or("HEADTALK_TENANT_BENCH_UTTERANCES", 3);
+  const unsigned lookups = bench::env_or("HEADTALK_TENANT_BENCH_LOOKUPS", 100000);
 
   const auto store_dir =
       std::filesystem::temp_directory_path() /
@@ -263,8 +206,8 @@ int main() {
   std::sort(per_op.begin(), per_op.end());
   // Recorded in nanoseconds: the record's %.6f rendering would round a
   // tens-of-ns figure to zero if kept in seconds.
-  const double lookup_p50_ns = 1e9 * sorted_quantile(per_op, 0.50);
-  const double lookup_p95_ns = 1e9 * sorted_quantile(per_op, 0.95);
+  const double lookup_p50_ns = 1e9 * bench::sorted_quantile(per_op, 0.50);
+  const double lookup_p95_ns = 1e9 * bench::sorted_quantile(per_op, 0.95);
   std::printf("lookup p50 %.0f ns  p95 %.0f ns (per op, %u x %u batches)\n",
               lookup_p50_ns, lookup_p95_ns, batches, kBatch);
 
@@ -276,7 +219,8 @@ int main() {
   spec.location = {sim::GridRadial::kMiddle, 3.0};
   const audio::MultiBuffer capture = collector.capture(spec);
 
-  const core::HeadTalkPipeline pipeline(make_orientation(), make_liveness());
+  const core::HeadTalkPipeline pipeline(bench::make_orientation(),
+                                        bench::make_liveness());
   serve::ServerConfig config;
   config.socket_path = std::filesystem::temp_directory_path() /
                        ("headtalk_bench_tserve_" + std::to_string(::getpid()) + ".sock");

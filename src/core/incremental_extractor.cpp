@@ -81,15 +81,14 @@ void IncrementalExtractor::begin(const IncrementalExtractorConfig& config,
   finalized_ = false;
   pushed_ = 0;
 
-  // Preprocessing: the same band-pass design as core::preprocess, realized
-  // as per-channel stateful cascades so chunks filter continuously.
-  const double high = std::min(config_.preprocess.high_hz, 0.45 * sample_rate);
+  // Preprocessing (Fig. 2): per-channel stateful band-pass cascades, so
+  // chunks filter continuously.
+  const double high = std::min(kBandPassHighHz, 0.45 * sample_rate);
   bandpass_.clear();
   bandpass_.reserve(channels);
   for (std::size_t c = 0; c < channels; ++c) {
-    bandpass_.push_back(dsp::butterworth_bandpass(config_.preprocess.filter_order,
-                                                  config_.preprocess.low_hz, high,
-                                                  sample_rate));
+    bandpass_.push_back(
+        dsp::butterworth_bandpass(kBandPassOrder, kBandPassLowHz, high, sample_rate));
   }
   // Cleared rather than reassigned: a reused operator keeps the capacity.
   filtered_.resize(channels);
@@ -214,7 +213,7 @@ void IncrementalExtractor::push(const audio::MultiBuffer& chunk) {
 void IncrementalExtractor::shared_block(std::size_t valid) {
   const std::size_t start = envelope_.size() * block_len_;
 
-  // Block RMS envelope across channels, as preprocess's active_span frames.
+  // Block RMS envelope across channels, for the silence trim.
   double acc = 0.0;
   for (std::size_t c = 0; c < channels_; ++c) {
     const audio::Sample* samples = filtered_[c].data() + (start - kept_from_);
@@ -410,17 +409,15 @@ void IncrementalExtractor::finalize_shared() {
 }
 
 void IncrementalExtractor::select_active_blocks() {
-  // Block-granular form of preprocess's active_span: same relative
-  // threshold, silence floor, minimum span, and padding rules — applied
-  // to the per-block envelope instead of 10 ms frames.
+  // The silence trim of Fig. 2 (core/preprocess.h): relative threshold,
+  // silence floor, minimum span and padding, on the per-block envelope.
   const std::size_t blocks = envelope_.size();
   active_begin_ = 0;
   active_end_ = blocks;
-  if (blocks == 0 || config_.preprocess.trim_threshold_db <= -120.0) return;
+  if (blocks == 0) return;
   const double peak = *std::max_element(envelope_.begin(), envelope_.end());
-  if (peak <= audio::db_to_amplitude(config_.preprocess.silence_floor_db)) return;
-  const double threshold =
-      peak * audio::db_to_amplitude(config_.preprocess.trim_threshold_db);
+  if (peak <= audio::db_to_amplitude(kSilenceFloorDb)) return;
+  const double threshold = peak * audio::db_to_amplitude(kTrimThresholdDb);
   std::size_t first = blocks, last = 0;
   for (std::size_t b = 0; b < blocks; ++b) {
     if (envelope_[b] >= threshold) {
@@ -429,14 +426,28 @@ void IncrementalExtractor::select_active_blocks() {
     }
   }
   if (first > last) return;
-  const auto min_active_samples = static_cast<std::size_t>(
-      config_.preprocess.min_active_ms * sample_rate_ / 1000.0);
+  const auto min_active_samples =
+      static_cast<std::size_t>(kMinActiveMs * sample_rate_ / 1000.0);
   if ((last - first + 1) * block_len_ < min_active_samples) return;
-  const auto pad_samples = static_cast<std::size_t>(
-      config_.preprocess.trim_pad_ms * sample_rate_ / 1000.0);
+  const auto pad_samples = static_cast<std::size_t>(kTrimPadMs * sample_rate_ / 1000.0);
   const std::size_t pad_blocks = (pad_samples + block_len_ - 1) / block_len_;
   active_begin_ = first > pad_blocks ? first - pad_blocks : 0;
   active_end_ = std::min(blocks, last + 1 + pad_blocks);
+}
+
+audio::MultiBuffer IncrementalExtractor::finalize_band_passed() {
+  finalize_shared();
+  const std::size_t begin = active_begin_ * block_len_;
+  const std::size_t end = std::min(pushed_, active_end_ * block_len_);
+  if (begin < kept_from_) {
+    throw std::logic_error("IncrementalExtractor: trimmed span already folded");
+  }
+  audio::MultiBuffer out(channels_, end - begin, sample_rate_);
+  for (std::size_t c = 0; c < channels_; ++c) {
+    const audio::Sample* first = filtered_[c].data() + (begin - kept_from_);
+    std::copy(first, first + (end - begin), out.channel(c).samples().begin());
+  }
+  return out;
 }
 
 ml::FeatureVector IncrementalExtractor::finalize_orientation() {

@@ -35,11 +35,12 @@
 // storage is indexed from the first folded block.
 //
 // Silence trimming happens lazily: finalize selects the active block span
-// from the envelope with the same threshold rules as core::preprocess (at
-// block rather than 10 ms granularity). Pre-roll blocks may therefore be
-// fed before the utterance is confirmed and post-roll blocks after it
-// ends — the trim keeps the decision independent of how generously the
-// endpointer fed.
+// from the envelope with the threshold rules of core/preprocess.h. Pre-roll
+// blocks may therefore be fed before the utterance is confirmed and
+// post-roll blocks after it ends — the trim keeps the decision independent
+// of how generously the endpointer fed. With both feature stages off the
+// operator is the whole Fig. 2 front end: finalize_band_passed() returns
+// the cleaned audio, and core::preprocess() is that view.
 //
 // The block sequence — and hence every finalized feature — is invariant
 // to push() chunking and to when (or whether) fold_orientation() runs:
@@ -48,7 +49,7 @@
 // scoring agree bit for bit by construction.
 //
 // Lifecycle: begin() → push()* (shared stage) → fold_orientation()
-// (optional, between pushes; the stream's pattern) → finalize_*() (either
+// (optional, between pushes; the stream's pattern) → finalize_*() (any
 // order, idempotent) → begin() again. Not thread-safe; one operator per
 // stream/thread.
 #pragma once
@@ -69,7 +70,6 @@
 namespace headtalk::core {
 
 struct IncrementalExtractorConfig {
-  PreprocessConfig preprocess{};
   OrientationFeatureConfig orientation{};
   LivenessFeatureConfig liveness{};
   /// Disable a stage to skip its per-block work and storage entirely
@@ -113,6 +113,12 @@ class IncrementalExtractor {
   /// folding whatever blocks of the trimmed span are not folded yet.
   /// Throws std::invalid_argument when begun with fewer than 2 channels.
   [[nodiscard]] ml::FeatureVector finalize_orientation();
+
+  /// Finalizes the shared stage and returns the band-passed samples of the
+  /// trimmed span: blocks active_blocks(), cut at samples_pushed(). Throws
+  /// std::logic_error when fold_orientation() has already dropped some of
+  /// them.
+  [[nodiscard]] audio::MultiBuffer finalize_band_passed();
 
   [[nodiscard]] bool open() const noexcept { return open_; }
   [[nodiscard]] std::size_t channels() const noexcept { return channels_; }

@@ -1,84 +1,23 @@
 #include "core/preprocess.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "audio/gain.h"
-#include "dsp/biquad.h"
+#include "core/incremental_extractor.h"
 
 namespace headtalk::core {
-namespace {
 
-// Finds the [first, last) sample span whose frame RMS exceeds the threshold
-// relative to the loudest frame, on an energy envelope shared by channels.
-std::pair<std::size_t, std::size_t> active_span(const audio::MultiBuffer& capture,
-                                                const PreprocessConfig& config) {
-  const std::size_t frames = capture.frames();
-  if (frames == 0 || config.trim_threshold_db <= -120.0) return {0, frames};
-  const auto frame_len = static_cast<std::size_t>(
-      std::max(1.0, config.trim_frame_ms * capture.sample_rate() / 1000.0));
-
-  std::vector<double> envelope;
-  for (std::size_t start = 0; start < frames; start += frame_len) {
-    const std::size_t end = std::min(frames, start + frame_len);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < capture.channel_count(); ++c) {
-      for (std::size_t i = start; i < end; ++i) {
-        acc += capture.channel(c)[i] * capture.channel(c)[i];
-      }
-    }
-    envelope.push_back(std::sqrt(acc / static_cast<double>((end - start) * capture.channel_count())));
-  }
-  const double peak = *std::max_element(envelope.begin(), envelope.end());
-  if (peak <= audio::db_to_amplitude(config.silence_floor_db)) return {0, frames};
-  const double threshold = peak * audio::db_to_amplitude(config.trim_threshold_db);
-
-  std::size_t first_frame = envelope.size(), last_frame = 0;
-  for (std::size_t f = 0; f < envelope.size(); ++f) {
-    if (envelope[f] >= threshold) {
-      first_frame = std::min(first_frame, f);
-      last_frame = f;
-    }
-  }
-  if (first_frame > last_frame) return {0, frames};
-  const auto min_active_frames = static_cast<std::size_t>(
-      config.min_active_ms * capture.sample_rate() / 1000.0);
-  if ((last_frame - first_frame + 1) * frame_len < min_active_frames) {
-    return {0, frames};
-  }
-
-  const auto pad =
-      static_cast<std::size_t>(config.trim_pad_ms * capture.sample_rate() / 1000.0);
-  const std::size_t begin_sample =
-      first_frame * frame_len > pad ? first_frame * frame_len - pad : 0;
-  const std::size_t end_sample = std::min(frames, (last_frame + 1) * frame_len + pad);
-  return {begin_sample, end_sample};
+audio::MultiBuffer preprocess(const audio::MultiBuffer& capture) {
+  IncrementalExtractorConfig config;
+  config.enable_orientation = false;
+  config.enable_liveness = false;
+  config.block_ms = kPreprocessBlockMs;
+  IncrementalExtractor op;
+  op.begin(config, capture.channel_count(), capture.sample_rate());
+  op.push(capture);
+  return op.finalize_band_passed();
 }
 
-}  // namespace
-
-audio::MultiBuffer preprocess(const audio::MultiBuffer& capture,
-                              const PreprocessConfig& config) {
-  const double fs = capture.sample_rate();
-  const double high = std::min(config.high_hz, 0.45 * fs);
-  audio::MultiBuffer filtered(capture.channel_count(), capture.frames(), fs);
-  for (std::size_t c = 0; c < capture.channel_count(); ++c) {
-    auto bp = dsp::butterworth_bandpass(config.filter_order, config.low_hz, high, fs);
-    filtered.channel(c) = bp.filtered(capture.channel(c));
-  }
-  const auto [begin, end] = active_span(filtered, config);
-  if (begin == 0 && end == filtered.frames()) return filtered;
-
-  audio::MultiBuffer trimmed(filtered.channel_count(), end - begin, fs);
-  for (std::size_t c = 0; c < filtered.channel_count(); ++c) {
-    trimmed.channel(c) = filtered.channel(c).slice(begin, end - begin);
-  }
-  return trimmed;
-}
-
-audio::Buffer preprocess(const audio::Buffer& capture, const PreprocessConfig& config) {
+audio::Buffer preprocess(const audio::Buffer& capture) {
   audio::MultiBuffer wrapped(std::vector<audio::Buffer>{capture});
-  return preprocess(wrapped, config).channel(0);
+  return preprocess(wrapped).channel(0);
 }
 
 }  // namespace headtalk::core

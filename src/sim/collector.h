@@ -17,7 +17,6 @@
 #include "audio/sample_buffer.h"
 #include "core/liveness_features.h"
 #include "core/orientation_features.h"
-#include "core/preprocess.h"
 #include "ml/dataset.h"
 #include "room/scene.h"
 #include "speech/speaker_profile.h"
@@ -48,8 +47,6 @@ struct CollectorConfig {
   /// On-disk cache size cap in bytes; 0 defers to $HEADTALK_CACHE_LIMIT_MB
   /// (unset → unlimited). See FeatureCache::default_limit_bytes().
   std::uint64_t cache_limit_bytes = 0;
-  core::PreprocessConfig preprocess{};
-  core::LivenessFeatureConfig liveness{};
 };
 
 /// Per-call render toggles for capture(). The streaming scene composer
@@ -73,7 +70,7 @@ class Collector {
   [[nodiscard]] audio::MultiBuffer capture(const SampleSpec& spec,
                                            const CaptureOptions& options) const;
 
-  /// Orientation feature vector (preprocess + extract; disk-cached).
+  /// Orientation feature vector (disk-cached; the extractor preprocesses).
   /// `workspace` (optional) supplies per-thread scoring scratch for the
   /// cache-miss path — the parallel collection engine passes one per lane;
   /// features are bit-identical with or without it.

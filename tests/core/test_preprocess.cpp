@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <random>
+#include <stdexcept>
 
 #include "audio/gain.h"
+#include "core/incremental_extractor.h"
+#include "dsp/biquad.h"
 
 namespace headtalk::core {
 namespace {
@@ -20,14 +25,39 @@ audio::Buffer tone(double freq, std::size_t frames) {
   return b;
 }
 
+/// 0.2 s of silence, a 0.4 s noise burst (a different draw per channel),
+/// then 0.3 s of silence.
+audio::MultiBuffer burst_in_silence(std::size_t channels) {
+  audio::MultiBuffer m(channels, static_cast<std::size_t>(0.9 * kFs), kFs);
+  const auto begin = static_cast<std::size_t>(0.2 * kFs);
+  const auto end = static_cast<std::size_t>(0.6 * kFs);
+  for (std::size_t c = 0; c < channels; ++c) {
+    std::mt19937 rng(static_cast<unsigned>(7 + c));
+    std::normal_distribution<double> noise(0.0, 0.2);
+    for (std::size_t i = begin; i < end; ++i) m.channel(c)[i] = noise(rng);
+  }
+  return m;
+}
+
+/// The Fig. 2 band-pass applied to a whole channel from rest.
+audio::Buffer band_passed(const audio::Buffer& x) {
+  const double fs = x.sample_rate();
+  auto bp = dsp::butterworth_bandpass(kBandPassOrder, kBandPassLowHz,
+                                      std::min(kBandPassHighHz, 0.45 * fs), fs);
+  return bp.filtered(x);
+}
+
+bool same_samples(const audio::Buffer& a, const audio::Buffer& b) {
+  return std::ranges::equal(a.samples(), b.samples());
+}
+
 TEST(Preprocess, RemovesSubsonicRumble) {
   // 30 Hz rumble + 1 kHz speech band tone: rumble must mostly vanish.
   auto x = tone(1000.0, 9600);
   const auto rumble = tone(30.0, 9600);
   x.add(rumble);
-  PreprocessConfig cfg;
-  cfg.trim_threshold_db = -200.0;  // disable trimming for this test
-  const auto y = preprocess(x, cfg);
+  const auto y = preprocess(x);
+  ASSERT_EQ(y.size(), x.size());  // a steady tone holds no silence to trim
   // Correlate output with the rumble: residual low-frequency energy small.
   double rumble_power = 0.0, signal_power = 0.0;
   for (std::size_t i = 4800; i < y.size(); ++i) {
@@ -39,9 +69,8 @@ TEST(Preprocess, RemovesSubsonicRumble) {
 
 TEST(Preprocess, KeepsSpeechBand) {
   auto x = tone(1000.0, 9600);
-  PreprocessConfig cfg;
-  cfg.trim_threshold_db = -200.0;
-  const auto y = preprocess(x, cfg);
+  const auto y = preprocess(x);
+  ASSERT_EQ(y.size(), x.size());
   const auto interior_in = x.slice(4800, 4000);
   const auto interior_out = y.slice(4800, 4000);
   EXPECT_NEAR(audio::rms(interior_out.samples()), audio::rms(interior_in.samples()),
@@ -149,8 +178,75 @@ TEST(Preprocess, HighCutoffClampedBelowNyquist) {
   // clamps below Nyquist.
   audio::Buffer x(1600, 16000.0);
   x[800] = 0.5;
-  PreprocessConfig cfg;
-  EXPECT_NO_THROW((void)preprocess(x, cfg));
+  EXPECT_NO_THROW((void)preprocess(x));
+}
+
+TEST(Preprocess, BandPassedViewIsTheOperatorsTrimmedSpan) {
+  // The scorer's operator (20 ms blocks, both feature stages on): the
+  // cleaned audio it returns is the band-pass output, bit for bit, over
+  // exactly the blocks it reports as its trimmed span.
+  const auto x = burst_in_silence(4);
+  IncrementalExtractor op;
+  op.begin(IncrementalExtractorConfig{}, x.channel_count(), kFs);
+  op.push(x);
+  (void)op.finalize_orientation();
+  const auto y = op.finalize_band_passed();
+  const auto [b0, b1] = op.active_blocks();
+  const auto block = static_cast<std::size_t>(0.02 * kFs);
+  ASSERT_GT(b0, 0u);                  // leading silence trimmed
+  ASSERT_LT(b1 * block, x.frames());  // trailing silence trimmed
+  ASSERT_EQ(y.channel_count(), x.channel_count());
+  ASSERT_EQ(y.frames(), (b1 - b0) * block);
+  for (std::size_t c = 0; c < x.channel_count(); ++c) {
+    EXPECT_TRUE(same_samples(y.channel(c),
+                             band_passed(x.channel(c)).slice(b0 * block, y.frames())))
+        << "channel " << c;
+  }
+}
+
+TEST(Preprocess, BandPassedViewThrowsOnceFoldedSamplesAreDropped) {
+  const auto x = burst_in_silence(4);
+  IncrementalExtractor op;
+  op.begin(IncrementalExtractorConfig{}, x.channel_count(), kFs);
+  op.push(x);
+  op.fold_orientation();
+  ASSERT_LT(op.samples_kept(), op.samples_pushed());
+  EXPECT_THROW((void)op.finalize_band_passed(), std::logic_error);
+}
+
+TEST(Preprocess, EmptyCaptureComesBackEmpty) {
+  const auto y = preprocess(audio::MultiBuffer(3, 0, kFs));
+  EXPECT_EQ(y.channel_count(), 3u);
+  EXPECT_EQ(y.frames(), 0u);
+}
+
+TEST(Preprocess, PadRoundsUpToWholeBlocks) {
+  // A 1 kHz tone from a block boundary `onset` to the end of the capture.
+  // The band-pass output before the onset is exactly 0, so the first
+  // active block is onset / block and the kept span starts one leading pad
+  // before it, ending at the capture's end.
+  const auto samples_before_onset = [](double fs) {
+    const auto block = static_cast<std::size_t>(kPreprocessBlockMs * fs / 1000.0);
+    const std::size_t onset = 40 * block;
+    const std::size_t total = onset + static_cast<std::size_t>(0.5 * fs);
+    audio::Buffer x(total, fs);
+    for (std::size_t i = onset; i < total; ++i) {
+      x[i] = 0.5 * std::sin(2.0 * std::numbers::pi * 1000.0 *
+                            static_cast<double>(i - onset) / fs);
+    }
+    const auto y = preprocess(x);
+    const std::size_t pad = y.size() - (total - onset);
+    EXPECT_TRUE(same_samples(y, band_passed(x).slice(onset - pad, y.size())))
+        << fs << " Hz";
+    return pad;
+  };
+  // Where 40 ms is whole 10 ms blocks, the pad is exactly 40 ms.
+  EXPECT_EQ(samples_before_onset(48000.0), 1920u);  // 4 x 480
+  EXPECT_EQ(samples_before_onset(44100.0), 1764u);  // 4 x 441
+  // At 22.05 kHz a block is 220 samples and 40 ms is 882: the pad rounds up
+  // to 5 blocks. Likewise at 11.025 kHz, 441 samples become 5 x 110.
+  EXPECT_EQ(samples_before_onset(22050.0), 1100u);
+  EXPECT_EQ(samples_before_onset(11025.0), 550u);
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ TEST(Convolve, ShiftedDeltaDelays) {
 TEST(Convolve, FftMatchesDirectOnRandomSignals) {
   std::mt19937 rng(42);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
-  for (const auto [nx, nh] : {std::pair{64, 17}, {100, 100}, {3, 200}, {1, 1}}) {
+  for (const auto& [nx, nh] : {std::pair{64, 17}, {100, 100}, {3, 200}, {1, 1}}) {
     std::vector<audio::Sample> x(nx), h(nh);
     for (auto& v : x) v = u(rng);
     for (auto& v : h) v = u(rng);

@@ -367,6 +367,9 @@ TEST(ServeProtocol, CorruptedBuffersNeverYieldUnvalidatedFrames) {
   seeds.push_back(encode_stream_decision(StreamDecisionFrame{}));
   seeds.push_back(encode_stream_end());
   seeds.push_back(encode_stream_summary(StreamSummary{480000, 3, 1, 0}));
+  seeds.push_back(encode_auth("tenant-a"));
+  seeds.push_back(encode_auth_ok(AuthOk{7, 1, 60}));
+  seeds.push_back(encode_auth_reject(AuthRejectCode::kUnknownTenant, "no such tenant"));
 
   std::mt19937 rng(1234);
   std::size_t parsed = 0, rejected = 0;
@@ -403,6 +406,9 @@ TEST(ServeProtocol, CorruptedBuffersNeverYieldUnvalidatedFrames) {
           case FrameType::kStreamDecision: (void)parse_stream_decision(*frame); break;
           case FrameType::kStreamEnd: parse_stream_end(*frame); break;
           case FrameType::kStreamSummary: (void)parse_stream_summary(*frame); break;
+          case FrameType::kAuth: (void)parse_auth(*frame); break;
+          case FrameType::kAuthOk: (void)parse_auth_ok(*frame); break;
+          case FrameType::kAuthReject: (void)parse_auth_reject(*frame); break;
         }
         ++parsed;
       }

@@ -9,9 +9,10 @@
 // With --enroll the tool instead enrolls a speaker into a tenant model
 // store: the listed WAVs are run through the same preprocessing + feature
 // extractors the scoring pipeline uses, summarized into a SpeakerProfile
-// (tenant/enrollment.h), and published atomically into --store:
+// (tenant/enrollment.h), and published atomically into --store. One
+// command line:
 //
-//   headtalk_train --enroll --tenant alice --store store \
+//   headtalk_train --enroll --tenant alice --store store
 //       --wavs a.wav,b.wav,c.wav --policy enrolled_live_facing --quota 0
 #include <atomic>
 #include <cstdio>
@@ -28,7 +29,6 @@
 #include "core/orientation_classifier.h"
 #include "core/orientation_features.h"
 #include "core/pipeline.h"
-#include "core/preprocess.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tenant/enrollment.h"
@@ -180,11 +180,11 @@ int main(int argc, char** argv) {
       obs::Timer timer(&extract_seconds);
       const auto& entry = entries[i];
       const auto raw = audio::read_wav(entry.file);
-      // The extractors preprocess internally (default config — the same
-      // one the pipeline scores with), keeping the training definition
-      // identical to streamed inference.
+      // The extractors preprocess internally (core/preprocess.h, as the
+      // pipeline scores), keeping the training definition identical to
+      // streamed inference.
       auto& out = extracted[i];
-      out.liveness = liveness_features.extract(raw.channel(0), core::PreprocessConfig{});
+      out.liveness = liveness_features.extract(raw.channel(0));
       out.liveness_label = entry.source == sim::ReplaySource::kNone ? core::kLabelLive
                                                                     : core::kLabelReplay;
       if (entry.source == sim::ReplaySource::kNone) {
@@ -194,11 +194,11 @@ int main(int argc, char** argv) {
         const core::OrientationFeatureExtractor extractor(config);
         switch (core::training_arc(core::FacingDefinition::kDefinition4, entry.angle_deg)) {
           case core::TrainingArc::kFacing:
-            out.orientation = extractor.extract(raw, core::PreprocessConfig{});
+            out.orientation = extractor.extract(raw);
             out.orientation_label = core::kLabelFacing;
             break;
           case core::TrainingArc::kNonFacing:
-            out.orientation = extractor.extract(raw, core::PreprocessConfig{});
+            out.orientation = extractor.extract(raw);
             out.orientation_label = core::kLabelNonFacing;
             break;
           case core::TrainingArc::kExcluded:
